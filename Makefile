@@ -5,7 +5,7 @@ GO      ?= go
 COUNT   ?= 10
 BENCHOUT ?= bench-write.txt
 
-.PHONY: test race lint test-invariants bench-write bench-adapt bench-shards bench-smoke fig5 ablation6 ablation7 ablation8
+.PHONY: test race lint test-invariants bench-write bench-adapt bench-shards bench-evict bench-smoke fig5 ablation6 ablation7 ablation8
 
 test:
 	$(GO) build ./...
@@ -64,6 +64,16 @@ bench-adapt:
 bench-shards:
 	$(GO) test -run='^$$' -bench='Shards' -benchmem -count=$(COUNT) \
 		./internal/shard | tee bench-shards.txt
+
+# bench-evict produces benchstat-friendly output for the cache's
+# evicting Set at 4 k and 256 k entries per shard. Eviction is
+# O(sample): the two sizes must stay within a cache-miss factor of
+# each other (a sampler that walks the shard shows a 100× gap), and
+# scanned/evict must read 16. For a before/after benchstat, copy
+# bench-evict.txt aside between the two runs.
+bench-evict:
+	$(GO) test -run='^$$' -bench='CacheSetEvict' -benchmem -count=$(COUNT) \
+		./internal/cache | tee bench-evict.txt
 
 # bench-smoke mirrors CI: every benchmark once, so bench code cannot rot.
 bench-smoke:

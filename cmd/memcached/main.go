@@ -8,7 +8,9 @@
 // The text protocol subset implemented: get/gets, set/add/replace/
 // append/prepend/cas, delete, incr/decr, touch, flush_all, stats,
 // version, verbosity, quit — with noreply, expiry (relative and
-// absolute), CAS, and LRU eviction under -max-bytes.
+// absolute), CAS, and LRU eviction under -max-bytes. The Go heap
+// target follows -max-bytes too (memlimit.go), unless GOMEMLIMIT is
+// set.
 //
 // With -debug-addr, a second HTTP listener exposes the observability
 // plane: /metrics (Prometheus text), /debug/vars (expvar-style JSON),
@@ -52,6 +54,7 @@ func main() {
 		wdBundleDir  = flag.String("watchdog-bundle-dir", "", "directory for first-trigger diagnostic bundles (empty = no bundles)")
 	)
 	flag.Parse()
+	followHeapLimit(*maxBytes)
 
 	// One observer hub spans every layer: the store threads it down
 	// through cache/shard/core/rcu, and the server times command

@@ -87,10 +87,15 @@
 // background sweeper), a cost budget enforced by per-shard sampled-LRU
 // eviction, and a singleflight GetOrLoad so a miss storm on one hot
 // key performs exactly one load. A hit stays lock-free and
-// allocation-free. Reach for Cache when entries have lifetimes or
-// memory must be bounded; reach for Map when you want a plain
-// concurrent map and will manage lifecycle yourself; reach for Table
-// everywhere else.
+// allocation-free. Maintenance costs what it touches, not what the
+// cache holds: an eviction examines a fixed sample of entries (16,
+// from two random places in a shard), and each sweeper tick visits at
+// most 2048 entries of one shard and resumes there next time, so a
+// full expiry pass takes entries/2048 ticks (100k entries: 49 ticks;
+// 1M: 490) while no single reader section grows with the cache.
+// Reach for Cache when entries have lifetimes or memory must be
+// bounded; reach for Map when you want a plain concurrent map and
+// will manage lifecycle yourself; reach for Table everywhere else.
 //
 //	c := rphash.NewCacheString[[]byte](
 //		rphash.WithCacheTTL(time.Minute),
@@ -157,9 +162,10 @@
 // of elements per section and invokes the callback OUTSIDE it, so a
 // huge or slow iteration never extends grace periods — Range, by
 // contrast, holds one section for the entire walk, delaying all
-// memory reclamation behind it. The trade-off: if the table resizes
-// between chunks, the traversal may skip or repeat elements near its
-// cursor.
+// memory reclamation behind it. The trade-off: if the table shrinks
+// between chunks, the traversal may report some elements twice (it
+// never skips one: the cursor walks buckets in bit-reversed order,
+// which survives resizes).
 //
 // # Adaptive maintenance
 //
@@ -283,7 +289,9 @@
 // epoch-based RCU runtime (internal/rcu), the baseline tables the
 // paper compares against (internal/ddds, internal/lockht,
 // internal/xu), a mini-memcached with a relativistic GET fast path
-// (internal/memcache), and the benchmark harness regenerating every
-// figure in the paper's evaluation (internal/bench, cmd/rphash-bench,
-// cmd/mc-benchmark). See DESIGN.md and EXPERIMENTS.md.
+// (internal/memcache; cmd/memcached also makes the Go heap target
+// follow its -max-bytes budget), and the benchmark harness
+// regenerating every figure in the paper's evaluation (internal/bench,
+// cmd/rphash-bench, cmd/mc-benchmark). See DESIGN.md and
+// EXPERIMENTS.md.
 package rphash

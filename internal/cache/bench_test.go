@@ -98,3 +98,35 @@ func BenchmarkCacheSet(b *testing.B) {
 		c.Set(uint64(i)&4095, uint64(i))
 	}
 }
+
+// BenchmarkCacheSetEvict measures a Set that evicts: the cache is
+// preloaded to its budget, so every measured insert of a new key pays
+// for one victim sample and one removal. The two sizes differ 64× in
+// entries per shard; ns/op must not (eviction is O(sample), not
+// O(shard)).
+func BenchmarkCacheSetEvict(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		entries uint64
+	}{{"4k", 4 << 10}, {"256k", 256 << 10}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewUint64[uint64](WithSweepInterval(0), WithShards(1),
+				WithMaxCost(int64(bc.entries)), WithInitialBuckets(bc.entries))
+			defer c.Close()
+			for i := uint64(0); i < bc.entries; i++ {
+				c.Set(i, i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Set(bc.entries+uint64(i), uint64(i))
+			}
+			b.StopTimer()
+			st := c.Counters()
+			if st.Evictions != uint64(b.N) {
+				b.Fatalf("evictions = %d, want %d", st.Evictions, b.N)
+			}
+			b.ReportMetric(float64(st.EvictScanned)/float64(st.Evictions), "scanned/evict")
+		})
+	}
+}

@@ -296,8 +296,8 @@ func (c *Cache[K, V]) leadMulti(ledKeys []K, ledHashes []uint64, led map[K]*flig
 // RangeChunked calls fn for every live entry until fn returns false,
 // with shard.Map.RangeChunked semantics: bounded reader sections, fn
 // invoked outside them (so fn may block or call back into the cache
-// without extending grace periods), possible skips/repeats for shards
-// that resize mid-traversal. Expired entries are skipped.
+// without extending grace periods), possible repeats (never skips) for
+// shards that shrink mid-traversal. Expired entries are skipped.
 func (c *Cache[K, V]) RangeChunked(chunk int, fn func(K, V) bool) {
 	c.m.RangeChunked(chunk, func(k K, e *entry[V]) bool {
 		if c.expired(e) {

@@ -22,6 +22,12 @@ type Stats struct {
 	Cost        int64  // current cost total
 	MaxCost     int64  // configured budget (<= 0 = unbounded)
 	Map         shard.MapStats
+
+	// Entries examined by eviction sampling (about the sample size per
+	// victim, whatever the cache's size) and by the background
+	// sweeper's ticks.
+	EvictScanned uint64
+	SweepScanned uint64
 }
 
 // Stats gathers a snapshot. It walks every bucket (for MaxChain); on
@@ -39,6 +45,9 @@ func (c *Cache[K, V]) Stats() Stats {
 		Cost:        c.cost.Load(),
 		MaxCost:     c.maxCost,
 		Map:         ms,
+
+		EvictScanned: c.evictScanned.Load(),
+		SweepScanned: c.sweepScanned.Load(),
 	}
 }
 
@@ -58,6 +67,9 @@ func (c *Cache[K, V]) Counters() Stats {
 		Entries:     c.m.Len(),
 		Cost:        c.cost.Load(),
 		MaxCost:     c.maxCost,
+
+		EvictScanned: c.evictScanned.Load(),
+		SweepScanned: c.sweepScanned.Load(),
 	}
 }
 

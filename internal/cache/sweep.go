@@ -2,55 +2,94 @@ package cache
 
 import "time"
 
-// sweepBatch bounds how many expired entries one background tick may
-// reclaim, keeping each pass incremental.
-const sweepBatch = 1024
+// The background sweeper's per-tick budget. sweepBatch bounds how many
+// entries one tick examines (and so how many it can reclaim);
+// sweepScanUnits bounds how many buckets it may walk to find them, so
+// a tick over a nearly empty bucket array stays as short. A full pass
+// over the cache therefore takes entries/sweepBatch ticks — 49 ticks
+// per 100 000 entries — whatever the shard count.
+const (
+	sweepBatch     = 2048
+	sweepScanUnits = 4 * sweepBatch
+)
 
-// SweepExpired removes up to limit expired entries across all shards,
-// returning the count removed. The scan runs inside the shards' RCU
-// reader sections (it never blocks lookups); each removal re-checks
-// identity under the key's writer stripe (CompareAndDelete), so an
-// entry refreshed between scan and removal is never lost.
+// SweepExpired removes up to limit expired entries in one pass over
+// every shard, returning the count removed. The pass collects bounded
+// chunks inside RCU reader sections (it never blocks lookups, and no
+// section grows with the cache); each removal re-checks identity
+// under the key's writer stripe (CompareAndDelete), so an entry
+// refreshed between scan and removal is never lost.
 func (c *Cache[K, V]) SweepExpired(limit int) int {
-	removed := 0
-	for i := 0; i < c.m.NumShards() && removed < limit; i++ {
-		removed += c.sweepShard(i, limit-removed)
-	}
-	return removed
-}
-
-// sweepShard reclaims up to limit expired entries from shard i.
-func (c *Cache[K, V]) sweepShard(i, limit int) int {
 	if limit <= 0 {
 		return 0
 	}
+	removed := 0
+	c.m.RangeChunked(sweepBatch, func(k K, e *entry[V]) bool {
+		if c.expired(e) && c.reclaim(k, e) {
+			removed++
+		}
+		return removed < limit
+	})
+	return removed
+}
+
+// reclaim removes k if it still maps to the expired entry e.
+func (c *Cache[K, V]) reclaim(k K, e *entry[V]) bool {
+	removed, ok := c.m.CompareAndDelete(k, func(cur *entry[V]) bool { return cur == e })
+	if ok {
+		c.cost.Add(-removed.cost)
+		c.expirations.Add(1)
+	}
+	return ok
+}
+
+// sweepPos is the background sweeper's position: the shard its next
+// tick visits, and per shard the cursor the previous visit returned.
+type sweepPos struct {
+	shard   int
+	cursors []uint64
+}
+
+// sweepTick is one step of the background pass: it examines up to
+// sweepBatch entries of one shard (within sweepScanUnits buckets),
+// resuming where that shard's last visit stopped, reclaims the
+// expired ones, and moves on to the next shard. The reader section
+// is one bounded core.Table.ScanFrom call, so a tick costs the same
+// on a cache of a thousand entries or ten million.
+func (c *Cache[K, V]) sweepTick(p *sweepPos) int {
+	if p.cursors == nil {
+		p.cursors = make([]uint64, c.m.NumShards())
+	}
+	i := p.shard
+	p.shard = (i + 1) % len(p.cursors)
+
 	now := c.clk.Nanos()
 	type victim struct {
 		k K
 		e *entry[V]
 	}
 	var victims []victim
-	c.m.Shard(i).Range(func(k K, e *entry[V]) bool {
+	scanned := 0
+	p.cursors[i] = c.m.Shard(i).ScanFrom(p.cursors[i], sweepScanUnits, func(k K, e *entry[V]) bool {
 		if e.expireAt != 0 && e.expireAt <= now {
 			victims = append(victims, victim{k, e})
 		}
-		return len(victims) < limit
+		scanned++
+		return scanned < sweepBatch
 	})
+	c.sweepScanned.Add(uint64(scanned))
 	n := 0
 	for _, v := range victims {
-		e := v.e
-		if removed, ok := c.m.CompareAndDelete(v.k, func(cur *entry[V]) bool { return cur == e }); ok {
-			c.cost.Add(-removed.cost)
-			c.expirations.Add(1)
+		if c.reclaim(v.k, v.e) {
 			n++
 		}
 	}
 	return n
 }
 
-// runSweeper is the background expiry pass: one shard per tick, in
-// rotation, so a large cache amortizes reclamation instead of
-// stalling on full scans. Besides its own stop channel it watches
+// runSweeper is the background expiry pass: one budgeted sweepTick
+// per interval, so reclamation is amortized and no tick stalls on a
+// scan of a whole shard. Besides its own stop channel it watches
 // the map's RCU domain Done: if the domain shuts down first (a
 // shared-domain fleet closing, or a bug ordering teardown wrong),
 // the sweeper exits promptly instead of discovering closure by
@@ -60,7 +99,7 @@ func (c *Cache[K, V]) runSweeper(interval time.Duration) {
 	defer c.sweepWG.Done()
 	t := time.NewTicker(interval)
 	defer t.Stop()
-	cursor := 0
+	var pos sweepPos
 	for {
 		select {
 		case <-c.sweepStop:
@@ -68,8 +107,7 @@ func (c *Cache[K, V]) runSweeper(interval time.Duration) {
 		case <-c.m.Domain().Done():
 			return
 		case <-t.C:
-			c.sweepShard(cursor%c.m.NumShards(), sweepBatch)
-			cursor++
+			c.sweepTick(&pos)
 		}
 	}
 }
@@ -77,13 +115,17 @@ func (c *Cache[K, V]) runSweeper(interval time.Duration) {
 // Purge drops every entry (live and expired) and returns the count
 // removed. Purged entries are counted as neither evictions nor
 // expirations; cost accounting returns to the concurrent baseline.
+// It works through the cache in bounded chunks (RangeChunked), so it
+// holds neither a reader section nor a key list proportional to the
+// cache; entries stored while it runs may or may not be dropped.
 func (c *Cache[K, V]) Purge() int {
 	n := 0
-	for _, k := range c.m.Keys() {
+	c.m.RangeChunked(0, func(k K, _ *entry[V]) bool {
 		if e, ok := c.m.CompareAndDelete(k, nil); ok {
 			c.cost.Add(-e.cost)
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }

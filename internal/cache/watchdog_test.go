@@ -16,6 +16,9 @@ func TestWatchdogSampleFields(t *testing.T) {
 		c.Set(k, "v")
 		_ = i
 	}
+	// The evictions above queued deferred reclamation; let its grace
+	// period finish, or the sample can catch the reclaimer mid-wait.
+	c.Domain().Barrier()
 	s := c.WatchdogSample()
 	if s.StripeAcquires == 0 {
 		t.Fatal("no stripe acquisitions sampled")

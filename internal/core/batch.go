@@ -249,80 +249,3 @@ func (t *Table[K, V]) retireBatch(victims []*node[K, V]) {
 		}
 	})
 }
-
-// DefaultRangeChunk is the bucket-count target RangeChunked uses when
-// the caller passes chunk <= 0.
-const DefaultRangeChunk = 512
-
-// RangeChunked calls fn for every element until fn returns false,
-// like Range, but exits the read-side critical section between
-// chunks of roughly `chunk` elements (chunk <= 0 selects
-// DefaultRangeChunk). Each chunk collects whole buckets inside one
-// reader section and then invokes fn OUTSIDE the section, so:
-//
-//   - a huge traversal never extends a grace period beyond one
-//     chunk's collection time — writers' deferred reclamation keeps
-//     flowing while fn runs — and
-//   - fn may block, take locks, or call back into the table without
-//     holding up memory reclamation, none of which is safe inside
-//     Range's single section.
-//
-// The price is weaker iteration semantics under concurrent resizing.
-// Progress is tracked by bucket index; if the table's bucket count
-// changes between chunks the cursor is rescaled proportionally, so a
-// traversal overlapping a resize may skip or repeat elements near the
-// cursor. With no concurrent resize the guarantee matches Range:
-// elements present for the whole traversal are visited exactly once;
-// concurrently inserted or deleted elements may or may not appear.
-// Values are copied at collection time and may be stale by the time
-// fn observes them.
-func (t *Table[K, V]) RangeChunked(chunk int, fn func(K, V) bool) {
-	if chunk <= 0 {
-		chunk = DefaultRangeChunk
-	}
-	t.eng.rangeChunked(chunk, fn)
-}
-
-// chainRangeChunked is the chain engine's chunked traversal, with the
-// bucket-index cursor and proportional rescale described above.
-func (t *Table[K, V]) chainRangeChunked(chunk int, fn func(K, V) bool) {
-	keys := make([]K, 0, chunk)
-	vals := make([]V, 0, chunk)
-	var cursor, buckets uint64
-	for {
-		keys, vals = keys[:0], vals[:0]
-		done := false
-		t.dom.Read(func() {
-			ht := t.ht.Load()
-			n := ht.size()
-			if buckets != 0 && n != buckets {
-				// Resized between chunks: rescale the cursor so
-				// progress stays monotonic. Rounding up may skip up
-				// to one old bucket's worth of elements — the
-				// documented cost of resizing mid-traversal — but
-				// guarantees termination under continuous resizing.
-				cursor = (cursor*n + buckets - 1) / buckets
-			}
-			buckets = n
-			for cursor < n && len(keys) < chunk {
-				for nd := ht.slot[cursor].Load(); nd != nil; nd = nd.next.Load() {
-					if nd.hash&ht.mask != cursor {
-						continue // foreign node mid-unzip; its home bucket reports it
-					}
-					keys = append(keys, nd.key)
-					vals = append(vals, *nd.val.Load())
-				}
-				cursor++
-			}
-			done = cursor >= n
-		})
-		for i := range keys {
-			if !fn(keys[i], vals[i]) {
-				return
-			}
-		}
-		if done {
-			return
-		}
-	}
-}

@@ -159,48 +159,3 @@ func TestRangeChunkedReleasesReaders(t *testing.T) {
 		return true
 	})
 }
-
-// TestRangeChunkedUnderResize: a traversal overlapping continuous
-// resizing must terminate, never panic, and only report keys that
-// were actually inserted (with their correct values).
-func TestRangeChunkedUnderResize(t *testing.T) {
-	tbl := NewUint64[int](WithInitialBuckets(64))
-	defer tbl.Close()
-	const n = 4096
-	for i := uint64(0); i < n; i++ {
-		tbl.Set(i, int(i))
-	}
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tbl.Resize(256)
-			tbl.Resize(64)
-		}
-	}()
-
-	for pass := 0; pass < 20; pass++ {
-		visited := 0
-		tbl.RangeChunked(16, func(k uint64, v int) bool {
-			if k >= n || v != int(k) {
-				t.Errorf("bogus element (%d, %d)", k, v)
-				return false
-			}
-			visited++
-			return true
-		})
-		if t.Failed() {
-			break
-		}
-		_ = visited // may legitimately under/over-count mid-resize
-	}
-	close(stop)
-	<-done
-}

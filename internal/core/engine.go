@@ -46,9 +46,11 @@ type engine[K comparable, V any] interface {
 	// Read side (inside a reader section of t.dom).
 	lookupHashed(h uint64, k K) (V, bool)
 
-	// Traversals (own their reader sections).
-	rangeAll(fn func(K, V) bool)
-	rangeChunked(chunk int, fn func(K, V) bool)
+	// snapshot returns the current layout as traversal units
+	// (scan.go); called, and the view used, inside one reader section
+	// of t.dom.
+	snapshot() unitView[K, V]
+	// maxProbe owns its reader section.
 	maxProbe() int
 
 	// Point writes (own their stripe locking and resize triggers).
@@ -133,11 +135,8 @@ type chainEngine[K comparable, V any] struct{ t *Table[K, V] }
 func (e *chainEngine[K, V]) name() string { return EngineChain }
 
 func (e *chainEngine[K, V]) lookupHashed(h uint64, k K) (V, bool) { return e.t.chainLookupHashed(h, k) }
-func (e *chainEngine[K, V]) rangeAll(fn func(K, V) bool)          { e.t.chainRangeAll(fn) }
-func (e *chainEngine[K, V]) rangeChunked(chunk int, fn func(K, V) bool) {
-	e.t.chainRangeChunked(chunk, fn)
-}
-func (e *chainEngine[K, V]) maxProbe() int { return e.t.chainMaxProbe() }
+func (e *chainEngine[K, V]) snapshot() unitView[K, V]             { return e.t.ht.Load() }
+func (e *chainEngine[K, V]) maxProbe() int                        { return e.t.chainMaxProbe() }
 
 func (e *chainEngine[K, V]) setHashed(h uint64, k K, v V) bool { return e.t.chainSetHashed(h, k, v) }
 func (e *chainEngine[K, V]) swapHashed(h uint64, k K, v V) (V, bool) {

@@ -666,89 +666,39 @@ func rangeGroup[K comparable, V any](g *flatGroup[K, V], fn func(K, V) bool) boo
 	return true
 }
 
-// rangeUnits reports how many migration units a traversal of v must
-// visit: the unit count mid-migration, else the group count.
-func rangeUnits[K comparable, V any](v *flatView[K, V]) uint64 {
+// scanMask makes a view's traversal units its migration units while
+// a migration is in flight, else its groups.
+func (v *flatView[K, V]) scanMask() uint64 {
 	if v.prev != nil {
-		return v.unitMask + 1
+		return v.unitMask
 	}
-	return v.mask + 1
+	return v.mask
 }
 
-// rangeUnit visits every element of migration unit u through the same
-// routing readers use, so each element is visited exactly once per
-// unit regardless of migration progress: an unmigrated unit is served
-// by its old source group(s), a migrated one by its new destination
-// group(s).
-func (e *flatEngine[K, V]) rangeUnit(v *flatView[K, V], u uint64, fn func(K, V) bool) bool {
+// unitGroups routes migration unit u the way readers are routed: an
+// unmigrated unit is served by its old source group(s), a migrated one
+// by its new destination group(s). It returns the view holding them
+// and whether a second group, at u plus the unit count, belongs too.
+func (v *flatView[K, V]) unitGroups(u uint64) (src *flatView[K, V], two bool) {
 	p := v.prev
-	if p == nil {
-		return rangeGroup(&v.groups[u], fn)
+	switch {
+	case p == nil:
+		return v, false
+	case v.migrated[u].Load() == 0:
+		return p, p.mask > v.mask // shrinking: two source groups merge into u
+	default:
+		return v, v.mask > p.mask // growing: u split into two destination groups
 	}
-	span := v.unitMask + 1
-	if v.migrated[u].Load() == 0 {
-		if p.mask > v.mask { // shrinking: two source groups merge into u
-			return rangeGroup(&p.groups[u], fn) && rangeGroup(&p.groups[u+span], fn)
-		}
-		return rangeGroup(&p.groups[u], fn)
-	}
-	if v.mask > p.mask { // growing: u split into two destination groups
-		return rangeGroup(&v.groups[u], fn) && rangeGroup(&v.groups[u+span], fn)
-	}
-	return rangeGroup(&v.groups[u], fn)
 }
 
-func (e *flatEngine[K, V]) rangeAll(fn func(K, V) bool) {
-	e.t.dom.Read(func() {
-		v := e.view.Load()
-		units := rangeUnits(v)
-		for u := uint64(0); u < units; u++ {
-			if !e.rangeUnit(v, u, fn) {
-				return
-			}
-		}
-	})
+// scanUnit visits every element of migration unit u exactly once,
+// whatever the migration's progress.
+func (v *flatView[K, V]) scanUnit(u uint64, fn func(K, V) bool) bool {
+	src, two := v.unitGroups(u)
+	return rangeGroup(&src.groups[u], fn) && (!two || rangeGroup(&src.groups[u+v.unitMask+1], fn))
 }
 
-// rangeChunked mirrors the chain engine's chunked traversal: whole
-// migration units are collected per reader section, fn runs outside
-// it, and a resize between chunks rescales the unit cursor
-// proportionally (same semantics caveat as the chain engine).
-func (e *flatEngine[K, V]) rangeChunked(chunk int, fn func(K, V) bool) {
-	keys := make([]K, 0, chunk)
-	vals := make([]V, 0, chunk)
-	var cursor, units uint64
-	for {
-		keys, vals = keys[:0], vals[:0]
-		done := false
-		e.t.dom.Read(func() {
-			v := e.view.Load()
-			n := rangeUnits(v)
-			if units != 0 && n != units {
-				cursor = (cursor*n + units - 1) / units
-			}
-			units = n
-			collect := func(k K, val V) bool {
-				keys = append(keys, k)
-				vals = append(vals, val)
-				return true
-			}
-			for cursor < n && len(keys) < chunk {
-				e.rangeUnit(v, cursor, collect)
-				cursor++
-			}
-			done = cursor >= n
-		})
-		for i := range keys {
-			if !fn(keys[i], vals[i]) {
-				return
-			}
-		}
-		if done {
-			return
-		}
-	}
-}
+func (e *flatEngine[K, V]) snapshot() unitView[K, V] { return e.view.Load() }
 
 // maxProbe reports the longest per-bucket probe: occupied inline
 // cells plus the spill-chain length of the fullest group, the flat
@@ -851,29 +801,10 @@ func (e *flatEngine[K, V]) checkInvariants() error {
 			}
 			return true
 		}
-		units := rangeUnits(v)
-		span := v.unitMask + 1
-		for u := uint64(0); u < units; u++ {
-			p := v.prev
-			switch {
-			case p == nil:
-				if !checkGroup(v, u) {
-					return
-				}
-			case v.migrated[u].Load() == 0:
-				if !checkGroup(p, u) {
-					return
-				}
-				if p.mask > v.mask && !checkGroup(p, u+span) {
-					return
-				}
-			default:
-				if !checkGroup(v, u) {
-					return
-				}
-				if v.mask > p.mask && !checkGroup(v, u+span) {
-					return
-				}
+		for u := uint64(0); u <= v.scanMask(); u++ {
+			src, two := v.unitGroups(u)
+			if !checkGroup(src, u) || two && !checkGroup(src, u+v.unitMask+1) {
+				return
 			}
 		}
 		if err == nil && int64(seen) != total {

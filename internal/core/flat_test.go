@@ -311,30 +311,6 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestFlatRangeChunkedDuringResize verifies the unit-cursor rescale:
-// a chunked traversal spanning a concurrent doubling still visits
-// every stable element at least once.
-func TestFlatRangeChunkedDuringResize(t *testing.T) {
-	tbl := newFlatT(t, WithInitialBuckets(64), WithPolicy(Policy{MinBuckets: 64}))
-	const n = 4096
-	fill(tbl, n)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tbl.Resize(1024)
-		tbl.Resize(64)
-	}()
-	seen := make(map[uint64]bool, n)
-	for len(seen) < n {
-		tbl.RangeChunked(64, func(k uint64, v int) bool {
-			seen[k] = true
-			return true
-		})
-	}
-	wg.Wait()
-}
-
 // TestFlatEngineTortureResizeStripeChurn is the flat engine's -race
 // torture test: synchronization-free readers and batch readers assert
 // the stable-key invariant (stable keys always present with their

@@ -64,50 +64,6 @@ func (t *Table[K, V]) chainLookupHashed(h uint64, k K) (V, bool) {
 	return zero, false
 }
 
-// Range calls fn for every element until fn returns false. The whole
-// traversal — fn included — runs inside one read-side critical
-// section, so it holds up grace periods for its full duration: keep
-// fn short and non-blocking, or use RangeChunked, which collects
-// bounded chunks per section and runs fn outside them.
-//
-// Semantics under concurrency: an element present for the entire
-// traversal is visited at least once; elements inserted or deleted
-// concurrently may or may not appear. While an expansion is
-// unzipping, chains transiently contain foreign nodes; Range filters
-// them by home bucket so no element is visited twice (a key being
-// Moved is two distinct elements for this purpose and may appear
-// under both keys).
-func (t *Table[K, V]) Range(fn func(K, V) bool) {
-	t.eng.rangeAll(fn)
-}
-
-// chainRangeAll is the chain engine's full traversal.
-func (t *Table[K, V]) chainRangeAll(fn func(K, V) bool) {
-	t.dom.Read(func() {
-		ht := t.ht.Load()
-		for i := range ht.slot {
-			for n := ht.slot[i].Load(); n != nil; n = n.next.Load() {
-				if n.hash&ht.mask != uint64(i) {
-					continue // foreign node mid-unzip; its home bucket reports it
-				}
-				if !fn(n.key, *n.val.Load()) {
-					return
-				}
-			}
-		}
-	})
-}
-
-// Keys returns a snapshot of the keys (order unspecified).
-func (t *Table[K, V]) Keys() []K {
-	out := make([]K, 0, t.Len())
-	t.Range(func(k K, _ V) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}
-
 // ReadHandle is a per-goroutine lookup handle backed by a registered
 // reader. It is not safe for concurrent use; create one per reading
 // goroutine and Close it when done.

@@ -250,8 +250,9 @@ func TestRPStoreSweepsItself(t *testing.T) {
 	}
 	s.Set(NewItem("live", 0, []byte("x"), 0))
 
-	// The incremental sweeper covers one shard per rpSweepInterval
-	// tick; give it a full rotation (generously) to reclaim everything.
+	// Each rpSweepInterval tick examines a budget of one shard's
+	// entries; these few items take one rotation over the shards.
+	// Give it that, generously.
 	deadline := time.Now().Add(30 * time.Second)
 	for s.Len() > 1 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)

@@ -234,9 +234,9 @@ func (m *Map[K, V]) DeleteBatch(ks []K) (removed int) {
 
 // RangeChunked calls fn for every element until fn returns false,
 // walking shards in order with core.Table.RangeChunked semantics per
-// shard: bounded reader sections, fn invoked outside them, cursor
-// rescaling (possible skips/repeats) if a shard resizes
-// mid-traversal. There is no cross-shard snapshot.
+// shard: bounded reader sections, fn invoked outside them, possible
+// repeats (never skips) if a shard shrinks mid-traversal. There is no
+// cross-shard snapshot.
 func (m *Map[K, V]) RangeChunked(chunk int, fn func(K, V) bool) {
 	cont := true
 	for _, s := range m.shards {
