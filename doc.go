@@ -39,6 +39,16 @@
 // one at a time; resize takes all of them ascending), so writers,
 // batches, and resizes can never deadlock.
 //
+// A delete is an unlink and nothing more. The paper's delete waits
+// for readers before freeing the node; here the garbage collector is
+// the free and does that waiting itself, so chain-engine writes queue
+// no grace-period work: an unlinked node keeps its next pointer, a
+// reader standing on it walks on into the live chain, and the node is
+// collected when the last such reader lets go. Grace periods are paid
+// only where they order readers against redirected pointers — inside
+// resizes — and where memory is reused in place (the flat engine's
+// cells).
+//
 // Resize coordinates with writers through the same stripes: the
 // array-construction and publish steps briefly hold every stripe,
 // each unzip migration batch holds exactly one, and the grace-period
@@ -145,7 +155,7 @@
 //	m.GetBatch(keys, vals, oks)  // ONE reader section per touched shard
 //	m.SetBatch(keys, vals)       // sorted-stripe locking: each touched
 //	                             // stripe locked once per shard group
-//	m.DeleteBatch(keys)          // one grace period per shard group
+//	m.DeleteBatch(keys)          // same grouping and lock amortization
 //	c.GetMulti(keys, vals, oks)  // batched hit path (clock + counters
 //	                             // also amortized per batch)
 //	c.GetOrLoadMulti(keys, load) // one loader call for the whole miss

@@ -12,10 +12,10 @@ package core
 //
 // Holding one reader section across a batch is safe at any batch
 // size — reader sections never block writers — but it does extend the
-// current grace period by the batch's duration, delaying memory
-// reclamation behind it. Batches of a few hundred keys are
-// microseconds; for unbounded traversals use RangeChunked, which
-// exits the section between chunks.
+// current grace period by the batch's duration, delaying whatever
+// waits on it (a resize step, a flat-engine cell reuse). Batches of a
+// few hundred keys are microseconds; for unbounded traversals use
+// RangeChunked, which exits the section between chunks.
 
 import "slices"
 
@@ -188,9 +188,7 @@ func (t *Table[K, V]) chainSetBatchHashed(hs []uint64, ks []K, vs []V) (inserted
 }
 
 // DeleteBatch removes every key in ks, returning how many were
-// present. Stripe grouping and lock amortization match SetBatch; all
-// unlinked nodes retire through a single deferred callback — one
-// grace period covers the whole batch instead of one per key.
+// present. Stripe grouping and lock amortization match SetBatch.
 func (t *Table[K, V]) DeleteBatch(ks []K) (removed int) {
 	if len(ks) == 0 {
 		return 0
@@ -218,34 +216,17 @@ func (t *Table[K, V]) DeleteBatchHashed(hs []uint64, ks []K) (removed int) {
 func (t *Table[K, V]) chainDeleteBatchHashed(hs []uint64, ks []K) (removed int) {
 	sc := t.stripeOrder(hs)
 	w := batchWriter[K, V]{t: t}
-	var victims []*node[K, V]
 	for _, packed := range sc.ord {
 		i := int(packed & 0xffffffff)
 		w.acquire(hs[i])
-		if n, _, ok := t.unlinkLocked(hs[i], ks[i], nil); ok {
-			victims = append(victims, n)
+		if _, ok := t.unlinkLocked(hs[i], ks[i], nil); ok {
 			removed++
 		}
 	}
 	w.release()
 	t.batchPool.Put(sc)
-	t.retireBatch(victims)
 	if removed > 0 {
 		t.maybeAutoResize()
 	}
 	return removed
-}
-
-// retireBatch schedules one deferred callback severing every victim's
-// next pointer after a grace period, so captured nodes cannot pin
-// live chains for the garbage collector.
-func (t *Table[K, V]) retireBatch(victims []*node[K, V]) {
-	if len(victims) == 0 {
-		return
-	}
-	t.dom.Defer(func() {
-		for _, v := range victims {
-			v.next.Store(nil)
-		}
-	})
 }

@@ -85,10 +85,10 @@ func TestDeleteBatch(t *testing.T) {
 			t.Fatalf("deleted key %d still present", i)
 		}
 	}
-	// The whole batch retires through ONE deferred callback (one grace
-	// period), not one per key.
-	if d := tbl.Domain().Stats().Deferred - before; d != 1 {
-		t.Fatalf("batch delete queued %d deferred callbacks, want 1", d)
+	// Unlinked nodes are the collector's: the batch queues no
+	// grace-period work at all.
+	if d := tbl.Domain().Stats().Deferred - before; d != 0 {
+		t.Fatalf("batch delete queued %d deferred callbacks, want 0", d)
 	}
 }
 

@@ -344,8 +344,8 @@ func (e *flatEngine[K, V]) upsertLocked(g *flatGroup[K, V], h uint64, k K, vp *V
 		return false
 	}
 	e.putLocked(g, h, k, vp)
-	e.t.count.Add(1)
-	e.t.stats.inserts.Add(1)
+	e.t.wc.count.Add(1)
+	e.t.wc.inserts.Add(1)
 	return true
 }
 
@@ -384,8 +384,8 @@ func (e *flatEngine[K, V]) swapHashed(h uint64, k K, v V) (old V, replaced bool)
 		return old, true
 	}
 	e.putLocked(g, h, k, &v)
-	t.count.Add(1)
-	t.stats.inserts.Add(1)
+	t.wc.count.Add(1)
+	t.wc.inserts.Add(1)
 	spilled := g.overflow.Load() != nil
 	s.mu.Unlock()
 	t.maybeAutoResizeBackpressure()
@@ -405,8 +405,8 @@ func (e *flatEngine[K, V]) insertHashed(h uint64, k K, v V) bool {
 		return false
 	}
 	e.putLocked(g, h, k, &v)
-	t.count.Add(1)
-	t.stats.inserts.Add(1)
+	t.wc.count.Add(1)
+	t.wc.inserts.Add(1)
 	spilled := g.overflow.Load() != nil
 	s.mu.Unlock()
 	t.maybeAutoResizeBackpressure()
@@ -459,8 +459,8 @@ func (e *flatEngine[K, V]) updateHashed(h uint64, k K, fn func(cur V, present bo
 		return prev, hadPrev, true
 	}
 	e.putLocked(g, h, k, &v)
-	t.count.Add(1)
-	t.stats.inserts.Add(1)
+	t.wc.count.Add(1)
+	t.wc.inserts.Add(1)
 	spilled := g.overflow.Load() != nil
 	s.mu.Unlock()
 	t.maybeAutoResizeBackpressure()
@@ -495,8 +495,8 @@ func (e *flatEngine[K, V]) compareAndDeleteHashed(h uint64, k K, match func(V) b
 		return zero, false
 	}
 	rt := e.removeLocked(g, ci, n)
-	t.count.Add(-1)
-	t.stats.deletes.Add(1)
+	t.wc.count.Add(-1)
+	t.wc.deletes.Add(1)
 	spilled := g.overflow.Load() != nil || n != nil
 	s.mu.Unlock()
 	t.dom.Defer(rt.retire)
@@ -619,8 +619,8 @@ func (e *flatEngine[K, V]) deleteBatchHashed(hs []uint64, ks []K) (removed int) 
 			continue
 		}
 		rts = append(rts, e.removeLocked(g, ci, n))
-		t.count.Add(-1)
-		t.stats.deletes.Add(1)
+		t.wc.count.Add(-1)
+		t.wc.deletes.Add(1)
 		removed++
 	}
 	w.release()
@@ -748,7 +748,7 @@ func (e *flatEngine[K, V]) checkInvariants() error {
 	var err error
 	t.dom.Read(func() {
 		v := e.view.Load()
-		total := t.count.Load()
+		total := t.wc.count.Load()
 		limit := int(total) + flatGroupCells + 8
 		seen := 0
 		checkGroup := func(view *flatView[K, V], gi uint64) bool {
@@ -823,7 +823,7 @@ func (e *flatEngine[K, V]) checkInvariantsLive() error {
 	var err error
 	t.dom.Read(func() {
 		v := e.view.Load()
-		limit := 2*int(t.count.Load()) + flatGroupCells + 1024
+		limit := 2*int(t.wc.count.Load()) + flatGroupCells + 1024
 		checkView := func(view *flatView[K, V]) {
 			for gi := range view.groups {
 				g := &view.groups[gi]

@@ -17,8 +17,13 @@ import (
 //  2. No chain cycles (walks terminate within the element count).
 //  3. Hash integrity: node.hash equals hash(node.key).
 //  4. Count integrity: the number of distinct home-reachable elements
-//     equals Len().
-//  5. Stripe coverage (the PR 4 locking invariant, which runtime
+//     equals Len(), and no two of them carry the same key (what a
+//     lock-free insert adopted on a wrong absence proof would leave).
+//  5. No dead (casConsumed) node is reachable: an unlink takes the
+//     node off every chain through it, mid-unzip the zipped sibling's
+//     too (unlinkSiblingLocked). Dead nodes keep their next pointer,
+//     so lookups would walk through a leftover one without noticing.
+//  6. Stripe coverage (the PR 4 locking invariant, which runtime
 //     stripe retuning must also preserve): the effective stripe
 //     count never exceeds the bucket count or the physical stripe
 //     count, and mid-unzip it never exceeds the parent bucket count
@@ -26,8 +31,8 @@ import (
 //     a parent and both children, is covered by exactly one stripe.
 //
 // It runs inside one read-side critical section. The structural
-// checks (1–4) are engine-specific and dispatch through the engine
-// seam; stripe coverage (5) is shared.
+// checks (1–5) are engine-specific and dispatch through the engine
+// seam; stripe coverage (6) is shared.
 func (t *Table[K, V]) checkInvariants() error {
 	if err := t.checkStripeInvariants(); err != nil {
 		return err
@@ -40,10 +45,11 @@ func (t *Table[K, V]) chainCheckInvariants() error {
 	var err error
 	t.dom.Read(func() {
 		ht := t.ht.Load()
-		total := t.count.Load()
+		total := t.wc.count.Load()
 		limit := int(total) + len(ht.slot) + 8 // cycle bound per walk
 
 		seen := make(map[*node[K, V]]struct{}, total)
+		keys := make(map[K]struct{}, total)
 		for i := range ht.slot {
 			steps := 0
 			for n := ht.slot[i].Load(); n != nil; n = n.next.Load() {
@@ -55,8 +61,13 @@ func (t *Table[K, V]) chainCheckInvariants() error {
 					err = fmt.Errorf("bucket %d: node key %v has stale hash", i, n.key)
 					return
 				}
+				if n.casState.Load() == casConsumed {
+					err = fmt.Errorf("bucket %d: unlinked node key %v still reachable", i, n.key)
+					return
+				}
 				if n.hash&ht.mask == uint64(i) {
 					seen[n] = struct{}{}
+					keys[n.key] = struct{}{}
 				}
 				// Foreign nodes are allowed mid-unzip; their own home
 				// walk accounts for them.
@@ -66,17 +77,14 @@ func (t *Table[K, V]) chainCheckInvariants() error {
 			err = fmt.Errorf("home-reachable elements = %d, count = %d", len(seen), total)
 			return
 		}
+		if len(keys) != len(seen) {
+			err = fmt.Errorf("%d home-reachable elements carry only %d distinct keys", len(seen), len(keys))
+			return
+		}
 		// Every seen node must be found by an ordinary lookup too
 		// (reachability implies the lookup predicate matches).
 		for n := range seen {
-			found := false
-			for m := ht.bucketFor(n.hash).Load(); m != nil; m = m.next.Load() {
-				if m == n {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !chainHas(ht.bucketFor(n.hash).Load(), n) {
 				err = fmt.Errorf("node %v not reachable from home bucket", n.key)
 				return
 			}
@@ -87,7 +95,8 @@ func (t *Table[K, V]) chainCheckInvariants() error {
 
 // checkInvariantsLive is the subset of checkInvariants that stays
 // sound while writers mutate the table concurrently: stripe coverage
-// (invariant 5), chain termination (2), and hash integrity (3).
+// (invariant 6), chain termination (2), hash integrity (3), and dead
+// nodes (5).
 // Count integrity (4) is deliberately absent — t.count and the chain
 // contents are updated by different instructions, so any live
 // snapshot can legitimately disagree by in-flight mutations — and
@@ -106,12 +115,15 @@ func (t *Table[K, V]) checkInvariantsLive() error {
 }
 
 // chainCheckInvariantsLive is the chain engine's writer-concurrent
-// subset: chain termination and hash integrity.
+// subset: chain termination, hash integrity, and no reachable dead
+// node. A racing delete may mark a node the walk already reached, so
+// a marked node is a violation only if a second walk still finds it:
+// the mark is stored after the unlink's last pointer redirection.
 func (t *Table[K, V]) chainCheckInvariantsLive() error {
 	var err error
 	t.dom.Read(func() {
 		ht := t.ht.Load()
-		limit := 2*int(t.count.Load()) + len(ht.slot) + 1024
+		limit := 2*int(t.wc.count.Load()) + len(ht.slot) + 1024
 		for i := range ht.slot {
 			steps := 0
 			for n := ht.slot[i].Load(); n != nil; n = n.next.Load() {
@@ -123,10 +135,24 @@ func (t *Table[K, V]) chainCheckInvariantsLive() error {
 					err = fmt.Errorf("bucket %d: node key %v has stale hash", i, n.key)
 					return
 				}
+				if n.casState.Load() == casConsumed && t.ht.Load() == ht && chainHas(ht.slot[i].Load(), n) {
+					err = fmt.Errorf("bucket %d: unlinked node key %v still reachable", i, n.key)
+					return
+				}
 			}
 		}
 	})
 	return err
+}
+
+// chainHas reports whether target is on the chain starting at n.
+func chainHas[K comparable, V any](n, target *node[K, V]) bool {
+	for ; n != nil; n = n.next.Load() {
+		if n == target {
+			return true
+		}
+	}
+	return false
 }
 
 // assertInvariantsLive panics on a live invariant violation. It is

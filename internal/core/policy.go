@@ -32,7 +32,7 @@ func (t *Table[K, V]) maybeAutoResize() {
 	if p.MaxLoad <= 0 && p.MinLoad <= 0 {
 		return
 	}
-	count := float64(t.count.Load())
+	count := float64(t.wc.count.Load())
 	nbuckets := float64(t.eng.bucketCount())
 
 	if p.MaxLoad > 0 && count > p.MaxLoad*nbuckets {
@@ -87,7 +87,7 @@ func (t *Table[K, V]) maybeAutoResize() {
 func (t *Table[K, V]) maybeAutoResizeBackpressure() {
 	p := t.policy
 	if p.MaxLoad > 0 {
-		count := float64(t.count.Load())
+		count := float64(t.wc.count.Load())
 		nbuckets := float64(t.eng.bucketCount())
 		if count > growBackpressureFactor*p.MaxLoad*nbuckets && t.grow.pending.Load() {
 			t.autoResizeTarget()
@@ -102,7 +102,7 @@ func (t *Table[K, V]) maybeAutoResizeBackpressure() {
 // oscillations around a watermark do not thrash.
 func (t *Table[K, V]) autoResizeTarget() {
 	p := t.policy
-	count := uint64(t.count.Load())
+	count := uint64(t.wc.count.Load())
 	if count == 0 {
 		t.Resize(p.MinBuckets)
 		return

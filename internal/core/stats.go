@@ -6,10 +6,23 @@ import (
 	"time"
 )
 
-// tableStats holds the table's internal counters.
+// writeCounters is everything a point write adds to, on one cache line
+// shared with nothing every operation reads (ht, resizeEpoch,
+// unzipParent, policy, obsv). It is one line long and allocated on its
+// own: a 64-byte heap object is 64-byte aligned, a field of Table
+// (behind the allocator's 8-byte header) is not. An insert adds to
+// count and to one of inserts (striped path, flat engine) or
+// casFastInserts (lock-free path); Stats.Inserts is their sum.
+type writeCounters struct {
+	count          atomic.Int64
+	inserts        atomic.Uint64
+	deletes        atomic.Uint64
+	casFastInserts atomic.Uint64
+	_              [stripeCacheLine - 4*8]byte
+}
+
+// tableStats holds the counters off the per-write path.
 type tableStats struct {
-	inserts     atomic.Uint64
-	deletes     atomic.Uint64
 	moves       atomic.Uint64
 	expands     atomic.Uint64
 	shrinks     atomic.Uint64
@@ -32,17 +45,16 @@ type tableStats struct {
 	// ran on more than one worker.
 	unzipParallelPasses atomic.Uint64
 
-	// CAS write fast-path telemetry (update.go). casFastInserts counts
-	// inserts committed lock-free; casFallbacks counts fast-path
-	// attempts that declined to the striped slow path (epoch moved,
-	// unzip window, contention budget, or an undo); casUndos counts
-	// published-then-dropped nodes recovery had to roll back (a strict
-	// subset of the fallbacks); valueCASSwaps counts successful
+	// CAS write fast-path telemetry (update.go; inserts committed
+	// lock-free are writeCounters.casFastInserts). casFallbacks counts
+	// fast-path attempts that declined to the striped slow path (epoch
+	// moved, unzip window, contention budget, or an undo); casUndos
+	// counts published-then-dropped nodes recovery had to roll back (a
+	// strict subset of the fallbacks); valueCASSwaps counts successful
 	// lock-free value publishes (CompareAndSwapValue).
-	casFastInserts atomic.Uint64
-	casFallbacks   atomic.Uint64
-	casUndos       atomic.Uint64
-	valueCASSwaps  atomic.Uint64
+	casFallbacks  atomic.Uint64
+	casUndos      atomic.Uint64
+	valueCASSwaps atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of table metrics.
@@ -246,8 +258,7 @@ func (t *Table[K, V]) CounterStats() Stats {
 		StripeAcquires:      acq,
 		StripeContended:     con,
 		StripeRetunes:       t.stats.retunes.Load(),
-		Inserts:             t.stats.inserts.Load(),
-		Deletes:             t.stats.deletes.Load(),
+		Deletes:             t.wc.deletes.Load(),
 		Moves:               t.stats.moves.Load(),
 		Expands:             t.stats.expands.Load(),
 		Shrinks:             t.stats.shrinks.Load(),
@@ -257,12 +268,13 @@ func (t *Table[K, V]) CounterStats() Stats {
 		UnzipWorkers:        t.UnzipWorkers(),
 		AutoGrows:           t.stats.autoGrows.Load(),
 		AutoShrinks:         t.stats.autoShrinks.Load(),
-		CASFastInserts:      t.stats.casFastInserts.Load(),
+		CASFastInserts:      t.wc.casFastInserts.Load(),
 		CASFallbacks:        t.stats.casFallbacks.Load(),
 		CASUndos:            t.stats.casUndos.Load(),
 		ValueCASSwaps:       t.stats.valueCASSwaps.Load(),
 		UnzipBacklog:        t.unzipBacklog.Load(),
 	}
+	s.Inserts = t.wc.inserts.Load() + s.CASFastInserts
 	in := t.eng.introspect()
 	s.MigrationUnits = in.MigrationUnits
 	s.MigrationDone = in.MigrationDone

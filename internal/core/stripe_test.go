@@ -418,12 +418,12 @@ func TestGrowBackpressureBoundsLoad(t *testing.T) {
 // one genuinely new hazard of per-bucket locking: mid-unzip, a node
 // can be reachable from BOTH children of its parent bucket, and a
 // delete that unlinks it from only its home chain would leave the
-// sibling chain running through the victim — whose next pointer is
-// severed after a grace period, truncating the sibling chain and
-// losing every element behind it. The deterministic schedule below
-// parks an expansion after each unzip pass (test hook), deletes keys
-// while chains are provably zipped, and then verifies nothing else
-// vanished.
+// sibling chain running through the dead node. The deterministic
+// schedule below parks an expansion after each unzip pass (test hook),
+// deletes keys while chains are provably zipped, checks right there
+// that no bucket still reaches a deleted node (checkInvariants'
+// dead-node rule — what fails when unlinkSiblingLocked is disabled),
+// and finally verifies nothing else vanished.
 func TestDeleteDuringUnzipPatchesSibling(t *testing.T) {
 	// Identity hash, 1 bucket -> alternating chain, worst-case zip.
 	tbl := New[uint64, int](func(k uint64) uint64 { return k }, WithInitialBuckets(1))
@@ -436,16 +436,16 @@ func TestDeleteDuringUnzipPatchesSibling(t *testing.T) {
 	deleted := make(map[uint64]bool)
 	next := uint64(1) // delete odd keys, mid-chain positions
 	tbl.testHookAfterUnzipPass = func(int) {
-		// Chains are mid-unzip here (zipped suffixes). Delete a few
-		// keys and force the retirement to complete so a missing
-		// sibling patch would truncate chains NOW.
+		// Chains are mid-unzip here (zipped suffixes).
 		for j := 0; j < 3 && next < n; j++ {
 			if tbl.Delete(next) {
 				deleted[next] = true
 			}
 			next += 2
 		}
-		tbl.Domain().Barrier() // run the deferred next-severing
+		if err := tbl.checkInvariants(); err != nil {
+			t.Error(err)
+		}
 	}
 	for tbl.Buckets() < 64 {
 		tbl.ExpandOnce()

@@ -25,7 +25,11 @@
 // stripe per migration batch for the long unzip phase, preserving
 // the paper's grace-period choreography; the fast paths stand down
 // to the striped route during those windows. Readers never take any
-// lock. (The paper's evaluation serializes all writers on one mutex;
+// lock. Only resizes wait for readers: the paper's delete is unlink,
+// wait, free, but here the collector is the free and does the waiting,
+// so a write that unlinks a node marks it dead, leaves its next
+// pointer alone and queues nothing on the RCU domain (update.go).
+// (The paper's evaluation serializes all writers on one mutex;
 // construct with WithStripes(1) to reproduce that baseline, or
 // WithCASInsert(false) to pin writes to the striped path.)
 package core
@@ -154,7 +158,9 @@ type Table[K comparable, V any] struct {
 	ctrl       *adapt.Controller
 	ctrlClosed bool
 
-	count atomic.Int64
+	// wc is the one cache line of counters a point write adds to (see
+	// writeCounters). Set once at construction.
+	wc *writeCounters
 
 	// batchPool recycles the stripe-sort workspaces of the batched
 	// write paths (batch.go).
@@ -329,7 +335,7 @@ func New[K comparable, V any](hash func(K) uint64, opts ...Option) *Table[K, V] 
 		cfg.stripes = defaultStripeCount()
 	}
 
-	t := &Table[K, V]{hash: hash, policy: cfg.policy, unzipPerCutGrace: cfg.perCutGrace}
+	t := &Table[K, V]{hash: hash, policy: cfg.policy, unzipPerCutGrace: cfg.perCutGrace, wc: new(writeCounters)}
 	t.noCASInsert = cfg.noCASInsert
 	t.obsv = cfg.obsv
 	t.obsShard = cfg.shardID
@@ -411,7 +417,7 @@ func (t *Table[K, V]) Domain() *rcu.Domain { return t.dom }
 
 // Len returns the number of elements (exact with respect to completed
 // updates).
-func (t *Table[K, V]) Len() int { return int(t.count.Load()) }
+func (t *Table[K, V]) Len() int { return int(t.wc.count.Load()) }
 
 // Buckets returns the current bucket count. It may change immediately
 // afterwards if a resize is in flight.

@@ -25,6 +25,14 @@ import (
 // retry), never a plain store — a plain store could silently drop a
 // concurrent fast-path prepend. Interior next-pointer stores stay
 // plain: the fast path never touches an existing node's next field.
+//
+// Reclamation is the collector's job: no write here queues grace-
+// period work (rcu.Defer). An unlinked node keeps its next pointer, so
+// a reader standing on it walks on into the live chain past everything
+// that was behind it — point writes only prepend at a head or skip a
+// victim, and a resize waits that reader out before each redirection
+// as it does one on a live node (its section predates the unlink, and
+// no new reader can reach the node). The last reader to let go frees it.
 
 // Set inserts or replaces the value for k, returning true if the key
 // was newly inserted.
@@ -52,7 +60,7 @@ func (t *Table[K, V]) chainSetHashed(h uint64, k K, v V) bool {
 		// argument lives on casHintValid). Only the locator is
 		// lock-free; the value store is an exact striped replace. The
 		// hint can never prove absence — a miss falls through to the
-		// section-protected insert fast path, the only absence proof.
+		// epoch-validated insert fast path, the only absence proof.
 		e1 := t.resizeEpoch.Load()
 		if e1&1 == 0 && t.unzipParent.Load() == 0 {
 			ht := t.ht.Load()
@@ -78,7 +86,7 @@ func (t *Table[K, V]) chainSetHashed(h uint64, k K, v V) bool {
 				t.opRecord(pr, h, obs.OpSet, obs.PathCASInsert, obs.OutInserted)
 				return true
 			case casInsertKeyPresent, casInsertFallback:
-				// The sectioned walk saw the key after all (the hint
+				// The absence walk saw the key after all (the hint
 				// raced an insert), or contention/epoch motion: redo
 				// under the stripes below.
 			}
@@ -185,7 +193,7 @@ func (t *Table[K, V]) chainInsertHashed(h uint64, k K, v V) bool {
 			t.opRecord(pr, h, obs.OpInsert, obs.PathCASInsert, obs.OutInserted)
 			return true
 		case casInsertKeyPresent:
-			// The in-section walk observed the key: the insert
+			// The absence walk observed the key: the insert
 			// linearizes at that observation and fails.
 			t.opRecord(pr, h, obs.OpInsert, obs.PathCASInsert, obs.OutNoop)
 			return false
@@ -228,9 +236,9 @@ func (t *Table[K, V]) chainReplaceHashed(h uint64, k K, v V) bool {
 	return true
 }
 
-// Delete removes k, reporting whether it was present. The unlinked
-// node is retired through the domain's deferred reclaimer after a
-// grace period (readers that still hold it may finish their walk).
+// Delete removes k, reporting whether it was present. Readers that
+// still hold the unlinked node finish their walk through it; the
+// collector frees it once they have.
 func (t *Table[K, V]) Delete(k K) bool {
 	return t.DeleteHashed(t.hash(k), k)
 }
@@ -262,33 +270,27 @@ func (t *Table[K, V]) CompareAndDeleteHashed(h uint64, k K, match func(V) bool) 
 func (t *Table[K, V]) chainCompareAndDeleteHashed(h uint64, k K, match func(V) bool) (V, bool) {
 	pr := t.opStart(h)
 	s := t.lockHash(h)
-	victim, removed, ok := t.unlinkLocked(h, k, match)
+	removed, ok := t.unlinkLocked(h, k, match)
 	s.mu.Unlock()
 	if !ok {
 		var zero V
 		t.opRecord(pr, h, obs.OpDelete, obs.PathStriped, obs.OutMiss)
 		return zero, false
 	}
-	t.dom.Defer(func() {
-		// Unreachable to all readers now; severing next keeps a
-		// captured node from pinning the live chain for GC.
-		victim.next.Store(nil)
-	})
 	t.maybeAutoResize()
 	t.opRecord(pr, h, obs.OpDelete, obs.PathStriped, obs.OutDeleted)
 	return removed, true
 }
 
 // unlinkLocked removes the node for (h, k) from its chain — provided
-// match (nil = always) accepts its current value — returning the node
-// and the removed value. The caller holds the stripe covering h. This
-// is the single copy of the write-side unlink sequence: redirect the
+// match (nil = always) accepts its current value — returning the
+// removed value. The caller holds the stripe covering h. This is the
+// single copy of the write-side unlink sequence: redirect the
 // predecessor (or the bucket head), patch the zipped sibling chain if
-// an expansion is in flight, decrement the count, bump the delete
-// stat. The returned node is unreachable to new readers but may still
-// be held by in-flight ones: sever its next pointer only after a
-// grace period (Defer or retireBatch).
-func (t *Table[K, V]) unlinkLocked(h uint64, k K, match func(V) bool) (*node[K, V], V, bool) {
+// an expansion is in flight, dead-mark the node, decrement the count,
+// bump the delete stat. The node is then unreachable from every
+// bucket head; its next pointer is left alone (see the file comment).
+func (t *Table[K, V]) unlinkLocked(h uint64, k K, match func(V) bool) (V, bool) {
 	ht := t.ht.Load()
 	slot := ht.bucketFor(h)
 	var prev *node[K, V]
@@ -312,14 +314,14 @@ func (t *Table[K, V]) unlinkLocked(h uint64, k K, match func(V) bool) (*node[K, 
 			// (a node NOT marked, revalidated under this same stripe,
 			// is still the live node for its key).
 			n.casState.Store(casConsumed)
-			t.count.Add(-1)
-			t.stats.deletes.Add(1)
-			return n, removed, true
+			t.wc.count.Add(-1)
+			t.wc.deletes.Add(1)
+			return removed, true
 		}
 		prev = n
 	}
 	var zero V
-	return nil, zero, false
+	return zero, false
 }
 
 // unlinkSiblingLocked completes an unlink while an expansion's unzip
@@ -328,13 +330,14 @@ func (t *Table[K, V]) unlinkLocked(h uint64, k K, match func(V) bool) (*node[K, 
 // sibling's head slot still points through it or because the two
 // child chains converge at it (a node at the junction of a shared
 // suffix has a physical predecessor on EACH chain). If any such
-// pointer survived the home-chain unlink, the deferred severing of
-// victim.next would truncate the sibling chain and lose every element
-// behind it. So: walk the sibling chain and redirect whatever still
-// points at the victim. The sibling bucket differs from the home
-// bucket only in the old-size bit — above the stripe mask — so the
-// caller's stripe covers it too. Outside an unzip window this is a
-// single atomic load.
+// pointer survived the home-chain unlink, the dead node would stay
+// reachable from a bucket head, where unzipStep derives its cut
+// points from whatever chains it finds and the invariant checkers
+// require every reachable node to be live. So: walk the sibling chain
+// and redirect whatever still points at the victim. The sibling
+// bucket differs from the home bucket only in the old-size bit —
+// above the stripe mask — so the caller's stripe covers it too.
+// Outside an unzip window this is a single atomic load.
 func (t *Table[K, V]) unlinkSiblingLocked(ht *buckets[K, V], h uint64, victim, next *node[K, V]) {
 	parent := t.unzipParent.Load()
 	if parent == 0 {
@@ -427,8 +430,6 @@ func (t *Table[K, V]) chainMove(oldKey, newKey K) bool {
 		prev = n
 	}
 	unlock()
-	victim := src
-	t.dom.Defer(func() { victim.next.Store(nil) })
 	return true
 }
 
@@ -467,8 +468,8 @@ func (t *Table[K, V]) insertLocked(h uint64, k K, vp *V) {
 			break
 		}
 	}
-	t.count.Add(1)
-	t.stats.inserts.Add(1)
+	t.wc.count.Add(1)
+	t.wc.inserts.Add(1)
 }
 
 // casUnlinkHead redirects a bucket head past victim (whose current
@@ -502,7 +503,7 @@ const (
 	// committed and then consumed by a later stripe writer). The
 	// insert happened.
 	casInsertDone casInsertOutcome = iota
-	// casInsertKeyPresent: the in-section walk observed the key.
+	// casInsertKeyPresent: the absence walk observed the key.
 	// Nothing was published; a pure insert (InsertHashed) linearizes
 	// at that observation and fails, an upsert redoes the operation
 	// under its stripe.
@@ -519,65 +520,56 @@ const (
 // is fairer (and cheaper) than an unbounded CAS storm.
 const casInsertRetries = 4
 
-// tryInsertCAS attempts a pure insert without taking any lock: prove
-// the key absent with a chain walk inside a read-side critical
-// section, publish the new node with a single CAS on the bucket head,
-// then re-validate the resize epoch (see Table.resizeEpoch).
+// tryInsertCAS attempts a pure insert without taking any lock or
+// entering a read-side section: pin the bucket array to an even resize
+// epoch, prove the key absent by walking its chain, publish the new
+// node with one CAS on the bucket head, re-validate the epoch (see
+// Table.resizeEpoch).
 //
-// The epoch protocol makes the lock-free publish safe against the
-// swap-everything operations. Reading an even epoch before the walk
-// and the same value after the CAS proves no all-stripes critical
-// section — shrink capture, expand publish, unzip-window close,
-// stripe retune — overlapped the window, so the node went into the
-// live array and no capture walk can have missed it. On mismatch the
-// node may have been captured into a newly published array (fine) or
-// silently dropped by a capture that read the bucket head before the
-// CAS landed; recoverInsertCAS distinguishes the two under the
-// stripe. The unzip window is excluded wholesale: while
-// unzipParent != 0 chains are zipped and cut in place by blind
-// stores, so the fast path declines up front, and the epoch check
-// catches windows that opened after the unzipParent load.
+// An unchanged epoch proves that no all-stripes section — shrink
+// capture, expand publish, unzip-window close, stripe retune — and no
+// unzip window (unzipParent is read at e1, and opening a window moves
+// the epoch) overlapped the attempt: the node went into the live
+// array and no capture walk missed it. On a mismatch recoverInsertCAS
+// decides, under the stripe, whether the node was captured or dropped.
 //
-// Speculative-state choreography: the node is published with
-// casState == casSpeculative. A stripe writer that unlinks it before
-// it commits flips it to casConsumed (unlinkLocked, Move), which
-// recovery reads as "the insert took effect, then a later operation
-// removed it" — it must NOT be re-inserted. The count is incremented
-// immediately after the CAS so that racing delete's decrement always
-// balances; the undo path rolls it back.
+// The walk is exact without a section because only a resize can hide
+// a node from it. Point writers prepend at the head or skip a victim,
+// which keeps its own next, so a walk from a head loaded at time T
+// passes every node that stays on the chain until the CAS, and the CAS
+// succeeding proves the head — hence, inserts being prepends, the key
+// set behind it — gained nothing since T. Resizes redirect live
+// pointers (zip link, unzip cut) only after moving the epoch. If the
+// final check fails, the first section since e1 to replace the array
+// read this slot either after the CAS — its redirects follow its
+// capture, so the walk preceded them — or before it, leaving the node
+// in a dead array for recovery to undo whatever the walk saw. The one
+// unsound schedule is walking an array loaded AFTER such a publish
+// under a pre-publish e1: the CAS would land in the live array and be
+// adopted with nothing vouching for the walk. So ht is loaded once,
+// between two reads of e1, and reused by every retry.
 //
-// vp is the value already boxed by the caller (whose own striped
-// fallback needs the address anyway); passing the pointer instead of
-// the value keeps the fast path at two heap objects (node + box) per
-// insert.
+// The node is published casSpeculative. A stripe writer that unlinks
+// it before it commits flips it to casConsumed, which recovery reads
+// as "took effect, then removed": it must NOT be re-inserted. The
+// count goes up right after the CAS so a racing delete's decrement
+// balances; the undo rolls it back. vp is the caller's value box,
+// which keeps the fast path at two heap objects per insert.
 func (t *Table[K, V]) tryInsertCAS(h uint64, k K, vp *V) casInsertOutcome {
 	e1 := t.resizeEpoch.Load()
-	if e1&1 != 0 || t.unzipParent.Load() != 0 {
+	ht := t.ht.Load()
+	if e1&1 != 0 || t.unzipParent.Load() != 0 || t.resizeEpoch.Load() != e1 {
 		t.stats.casFallbacks.Add(1)
 		return casInsertFallback
 	}
+	slot := ht.bucketFor(h)
 	var n *node[K, V]
-	r := t.dom.AcquireReader()
 	for attempt := 0; attempt < casInsertRetries; attempt++ {
-		// The head load and the walk run inside a read-side section:
-		// every node reachable from a head loaded in-section is
-		// protected from next-pointer severing until we leave, so the
-		// absence proof cannot be truncated by a concurrent retire.
-		r.Lock()
-		ht := t.ht.Load()
-		slot := ht.bucketFor(h)
 		head := slot.Load()
-		var found *node[K, V]
 		for c := head; c != nil; c = c.next.Load() {
 			if c.hash == h && c.key == k {
-				found = c
-				break
+				return casInsertKeyPresent
 			}
-		}
-		r.Unlock()
-		if found != nil {
-			t.dom.ReleaseReader(r)
-			return casInsertKeyPresent
 		}
 		if n == nil {
 			// Allocate only once absence has actually been observed, so
@@ -587,27 +579,21 @@ func (t *Table[K, V]) tryInsertCAS(h uint64, k K, vp *V) casInsertOutcome {
 			n.val.Store(vp)
 			n.casState.Store(casSpeculative)
 		}
-		// The CAS itself needs no section: success proves the head is
-		// still the one the walk started from, and the key cannot have
-		// appeared without changing the head (all inserts prepend).
 		n.next.Store(head)
 		if !slot.CompareAndSwap(head, n) {
 			continue // head moved; re-prove absence against the new head
 		}
-		t.dom.ReleaseReader(r)
-		t.count.Add(1)
+		t.wc.count.Add(1)
 		if t.resizeEpoch.Load() == e1 {
 			// Commit. A lost flip means a stripe writer already
 			// consumed the node — possible only after the insert took
 			// effect, so the outcome is the same.
 			n.casState.CompareAndSwap(casSpeculative, casCommitted)
-			t.stats.inserts.Add(1)
-			t.stats.casFastInserts.Add(1)
+			t.wc.casFastInserts.Add(1)
 			return casInsertDone
 		}
 		return t.recoverInsertCAS(h, n)
 	}
-	t.dom.ReleaseReader(r)
 	t.stats.casFallbacks.Add(1)
 	return casInsertFallback
 }
@@ -658,8 +644,7 @@ func (t *Table[K, V]) casHintValid(e1 uint64, n *node[K, V]) bool {
 //     casSpeculative → casCommitted.
 //  3. Neither: a capture walk read the bucket head before the CAS
 //     landed and the superseding array dropped the node. Nothing
-//     durable ever pointed at it — undo (roll the count back, retire
-//     the node for in-flight readers of the superseded array) and
+//     durable ever pointed at it — undo (roll the count back) and
 //     have the caller redo the insert under the stripe.
 //
 // A blind "re-CAS the head back" undo would be unsound here: after an
@@ -668,33 +653,18 @@ func (t *Table[K, V]) casHintValid(e1 uint64, n *node[K, V]) bool {
 // reachability walk above can tell adoption from loss.
 func (t *Table[K, V]) recoverInsertCAS(h uint64, n *node[K, V]) casInsertOutcome {
 	s := t.lockHash(h)
-	if n.casState.Load() == casConsumed {
+	if n.casState.Load() == casConsumed || chainHas(t.ht.Load().bucketFor(h).Load(), n) {
+		// No-op when consumed; the stripe excludes every other marker.
+		n.casState.CompareAndSwap(casSpeculative, casCommitted)
 		s.mu.Unlock()
-		t.stats.inserts.Add(1)
-		t.stats.casFastInserts.Add(1)
+		t.wc.casFastInserts.Add(1)
 		return casInsertDone
 	}
-	ht := t.ht.Load()
-	for c := ht.bucketFor(h).Load(); c != nil; c = c.next.Load() {
-		if c == n {
-			n.casState.CompareAndSwap(casSpeculative, casCommitted)
-			s.mu.Unlock()
-			t.stats.inserts.Add(1)
-			t.stats.casFastInserts.Add(1)
-			return casInsertDone
-		}
-	}
 	s.mu.Unlock()
-	t.count.Add(-1)
+	t.wc.count.Add(-1)
 	t.stats.casUndos.Add(1)
 	t.stats.casFallbacks.Add(1)
 	t.obsEvent(obs.EvCASUndo, 0, 0, 0)
-	t.dom.Defer(func() {
-		// In-flight readers of the superseded array may still hold the
-		// node; sever its next only after they drain so it cannot pin
-		// the live chain it once pointed into.
-		n.next.Store(nil)
-	})
 	return casInsertFallback
 }
 

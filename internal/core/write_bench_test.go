@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,6 +128,65 @@ func BenchmarkWriteMixedStriped(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWriteChurn is the repository benchmark's lib-churn mix at
+// steady state: 2 goroutines on disjoint key ranges, each sliding a
+// FIFO window of live keys (40 % insert at the front, 40 % delete at
+// the back, 20 % get inside) over a fixed-size table. An insert
+// allocates its node and value box and a delete nothing, so -benchmem
+// shows any per-write garbage; deferred/op and grace/op show any work
+// the writes hand to the RCU domain (none: the table never resizes
+// here, and chain writes queue nothing).
+func BenchmarkWriteChurn(b *testing.B) {
+	const writers = 2
+	const window = 1 << 15 // live keys per writer at the start
+	tbl := NewUint64[uint64](WithInitialBuckets(writers * window))
+	defer tbl.Close()
+	for w := uint64(0); w < writers; w++ {
+		for k := w << 40; k < w<<40+window; k++ {
+			tbl.Set(k, k)
+		}
+	}
+	before := tbl.Domain().Stats()
+	var hits atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := uint64(0); w < writers; w++ {
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			lo, hi := w<<40, w<<40+window
+			x := (w + 1) * 0x9e3779b97f4a7c15
+			var found uint64
+			for i := w; i < uint64(b.N); i += writers {
+				x += 0x9e3779b97f4a7c15
+				r := (x ^ x>>31) % 5
+				switch {
+				case r < 2 || lo == hi:
+					tbl.Insert(hi, hi)
+					hi++
+				case r < 4:
+					tbl.Delete(lo)
+					lo++
+				default:
+					if _, ok := tbl.Get(lo + (x>>33)%(hi-lo)); ok {
+						found++
+					}
+				}
+			}
+			hits.Add(found)
+		}(w)
+	}
+	wg.Wait()
+	b.StopTimer()
+	after := tbl.Domain().Stats()
+	b.ReportMetric(float64(after.Deferred-before.Deferred)/float64(b.N), "deferred/op")
+	b.ReportMetric(float64(after.GracePeriods-before.GracePeriods)/float64(b.N), "grace/op")
+	if b.N > 1000 && hits.Load() == 0 {
+		b.Fatal("no get hit a live key")
+	}
 }
 
 // BenchmarkWriteContendedResize measures writer throughput while a

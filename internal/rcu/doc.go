@@ -50,10 +50,13 @@
 //
 // Go's garbage collector frees unlinked nodes once no reader can
 // reach them, so unlike C implementations this package is not needed
-// to prevent use-after-free. Grace periods remain algorithmically
-// essential: the hash table's unzip operation uses Synchronize to
-// guarantee no reader is mid-traversal across a link it is about to
-// redirect. Defer additionally gives data structures a hook to
-// recycle or account for retired memory only when it is provably
-// unreachable.
+// to prevent use-after-free, and a structure whose unlinked nodes are
+// simply dropped needs nothing from it on delete: the chain hash
+// table's point writes call neither Synchronize nor Defer. Grace
+// periods remain algorithmically essential: the hash table's unzip
+// operation uses Synchronize to guarantee no reader is mid-traversal
+// across a link it is about to redirect. Defer is for memory that is
+// reused in place rather than dropped — the flat bucket engine's
+// cells, which a writer may refill only once no reader can still be
+// looking at the old contents (and internal/rlist's node severing).
 package rcu

@@ -50,11 +50,11 @@ type Domain struct {
 	//
 	// The delimited-reader registry holds WEAK pointers. The reader
 	// pool below is drained wholesale by the garbage collector
-	// (sync.Pool semantics), and the write fast path refills it
-	// constantly; with strong registry references every drained
-	// reader would stay registered forever — quiescent, but a
-	// permanent extra scan slot for every future grace period, and a
-	// slow leak. A weak registry instead tracks exactly the readers
+	// (sync.Pool semantics), and pooled reads (Domain.Read,
+	// AcquireReader) refill it constantly; with strong registry
+	// references every drained reader would stay registered forever —
+	// quiescent, but a permanent extra scan slot for every future
+	// grace period, and a slow leak. A weak registry instead tracks exactly the readers
 	// somebody can still use: a reader is strongly referenced while
 	// pooled, checked out, or held by a handle, and one the collector
 	// has dropped can never enter a section again, so Synchronize
@@ -138,7 +138,7 @@ func (d *Domain) Register() *Reader {
 	// Amortized registry hygiene: probe a few entries and drop the
 	// collected ones. Synchronize also prunes, but a workload that
 	// never resizes never synchronizes, and the pool refill cycle
-	// (GC drains the pool, the write fast path re-registers) would
+	// (GC drains the pool, the next pooled read re-registers) would
 	// otherwise grow the map without bound — each Register can orphan
 	// at most one prior entry, and four random-start probes reclaim
 	// dead ones faster than that, so the map stays within a small
@@ -362,11 +362,17 @@ func (d *Domain) Defer(fn func()) {
 		return
 	}
 	d.defQ = append(d.defQ, fn)
+	// Only the Defer that found the queue empty wakes the reclaimer,
+	// which re-checks the queue under defMu before it sleeps again: a
+	// burst pays one channel operation, not one per callback.
+	wake := len(d.defQ) == 1
 	d.defMu.Unlock()
 	d.nDeferred.Add(1)
-	select {
-	case d.defWake <- struct{}{}:
-	default:
+	if wake {
+		select {
+		case d.defWake <- struct{}{}:
+		default:
+		}
 	}
 }
 

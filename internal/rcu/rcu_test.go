@@ -241,9 +241,12 @@ func TestDeferRunsAfterGracePeriod(t *testing.T) {
 func TestDeferOrdering(t *testing.T) {
 	d := NewDomain()
 	defer d.Close()
+	// A burst: all but the first Defer onto an empty queue skip the
+	// reclaimer wake-up, and every one must still run, in queue order.
+	const n = 10_000
 	var mu sync.Mutex
 	var got []int
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		i := i
 		d.Defer(func() {
 			mu.Lock()
@@ -254,26 +257,42 @@ func TestDeferOrdering(t *testing.T) {
 	d.Barrier()
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) < 10 {
-		t.Fatalf("ran %d callbacks before barrier, want >= 10", len(got))
+	if len(got) != n {
+		t.Fatalf("ran %d callbacks before barrier, want %d", len(got), n)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		if got[i] != i {
-			t.Fatalf("callback order %v, want queue order", got)
+			t.Fatalf("callback %d ran in position of %d, want queue order", got[i], i)
 		}
 	}
 }
 
 func TestBarrier(t *testing.T) {
 	d := NewDomain()
-	defer d.Close()
 	var n atomic.Int64
-	for i := 0; i < 100; i++ {
-		d.Defer(func() { n.Add(1) })
+	burst := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2500; i++ {
+					d.Defer(func() { n.Add(1) })
+				}
+			}()
+		}
+		wg.Wait()
 	}
+	burst()
 	d.Barrier()
-	if n.Load() != 100 {
-		t.Fatalf("after Barrier, %d callbacks ran, want 100", n.Load())
+	if n.Load() != 10_000 {
+		t.Fatalf("after Barrier, %d callbacks ran, want 10000", n.Load())
+	}
+	// Close drains whatever is still queued, with no Barrier to help.
+	burst()
+	d.Close()
+	if n.Load() != 20_000 {
+		t.Fatalf("after Close, %d callbacks ran, want 20000", n.Load())
 	}
 }
 

@@ -199,9 +199,7 @@ func (m *Map[K, V]) SetBatch(ks []K, vs []V) (inserted int) {
 }
 
 // DeleteBatch removes every key in ks, returning how many were
-// present. Grouping and stripe-lock amortization match SetBatch;
-// each shard's unlinked nodes retire through one grace period rather
-// than one per key.
+// present. Grouping and stripe-lock amortization match SetBatch.
 func (m *Map[K, V]) DeleteBatch(ks []K) (removed int) {
 	if len(ks) == 0 {
 		return 0

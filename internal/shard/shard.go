@@ -21,10 +21,12 @@
 // masks stay balanced.
 //
 // All shards share one rcu.Domain. A ReadHandle therefore registers a
-// single reader that spans the whole map, grace periods are amortized
-// across shards (one Synchronize covers retirements from every
-// shard), and a resize in one shard never waits on machinery private
-// to another.
+// single reader that spans the whole map, and a resize in one shard
+// never waits on machinery private to another. Point writes ask
+// nothing of the domain: under the chain engine only a resize step
+// waits for a grace period (unlinked nodes are the collector's), and
+// the flat engine's cell retirements from every shard share the one
+// reclaimer.
 package shard
 
 import (
