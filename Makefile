@@ -5,7 +5,7 @@ GO      ?= go
 COUNT   ?= 10
 BENCHOUT ?= bench-write.txt
 
-.PHONY: test race lint test-invariants bench-write bench-adapt bench-shards bench-evict bench-smoke fig5 ablation6 ablation7 ablation8
+.PHONY: test race stress lint test-invariants bench-write bench-adapt bench-shards bench-evict bench-smoke fig5 ablation6 ablation7 ablation8
 
 test:
 	$(GO) build ./...
@@ -14,6 +14,19 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# stress flushes timing- and order-dependent tests: package by package,
+# 20 runs each at GOMAXPROCS 1, 2 and 4 in shuffled order. It stops at
+# the first failing package and prints the command, with the shuffle
+# seed, that reruns it in the same order.
+stress:
+	@seed=$$(date +%s); \
+	for p in $$($(GO) list ./...); do \
+		$(GO) test -count=20 -cpu 1,2,4 -shuffle=$$seed -timeout 60m $$p || { \
+			echo "stress: $$p failed; rerun: $(GO) test -count=20 -cpu 1,2,4 -shuffle=$$seed $$p"; \
+			exit 1; }; \
+	done; \
+	echo "stress: every package passed (-shuffle=$$seed)"
 
 # lint runs the in-tree RCU-discipline analyzers (cmd/rplint) over
 # the whole module, both standalone and through the `go vet -vettool`

@@ -124,21 +124,24 @@
 // default) is the paper's relativistic linked chains — lock-free
 // reads, CAS-insert write fast path, in-place unzip resize that
 // never copies a node. EngineFlat trades the pointer chase for
-// cache-line contiguity: each bucket is eight inline key/value cells
-// behind a packed word of eight 8-bit hash tags; a lookup loads the
-// tag word once, SWAR-scans it, and touches only matching cells (one
-// cache line for the common miss, two for the hit), spilling past
-// eight cells into an overflow chain. Cells publish and retire
+// cache-line contiguity: each bucket is eight cells holding key and
+// value inline behind a packed word of eight 8-bit hash tags; a
+// lookup loads the tag word once, SWAR-scans it, and touches only
+// matching cells (one cache line for the common miss, two for the
+// hit), spilling past eight cells into an overflow chain. An insert
+// allocates nothing; a replace publishes its value in a fresh heap
+// box, so readers never see a torn value. Cells publish and retire
 // through atomic tag-word stores ordered against a grace period, so
 // reads stay wait-free. Because inline cells cannot be relinked, the
 // flat engine resizes by relativistic per-bucket copying — publish
-// the new group array, migrate each bucket under its stripe (shared
-// value boxes, one grace period before and after the pass), readers
-// routing per bucket by a migrated flag the way chain readers route
-// by epoch — and consequently takes a stripe for every write: a
-// lock-free value CAS could be lost to a concurrent bucket copy.
+// the new group array, copy each bucket's elements under its stripe
+// (values land inline again; one grace period before and after the
+// pass), readers routing per bucket by a migrated flag the way chain
+// readers route by epoch — and consequently takes a stripe for every
+// write: a lock-free value CAS could be lost to a concurrent bucket
+// copy.
 // Single-threaded reads run ~30-50% faster than chains and dense
-// tables spend ~35% fewer bytes per element; sparse tables invert
+// tables spend ~45% fewer bytes per element; sparse tables invert
 // that, paying per group rather than per element (ablation A8,
 // README "Engines" for measured numbers).
 //

@@ -106,6 +106,10 @@ type Cache[K comparable, V any] struct {
 
 	sweepStop chan struct{}
 	sweepWG   sync.WaitGroup
+
+	// afterPurgeDelete, when set (tests only), runs in Purge after each
+	// removal, with the removed key, outside any reader section.
+	afterPurgeDelete func(K)
 }
 
 // DefaultSweepInterval is the background sweeper cadence when the

@@ -164,24 +164,41 @@ func TestSweepExpiredHonorsLimit(t *testing.T) {
 	}
 }
 
-// TestPurgeWhileShrinking: Purge's deletions drive the shards'
-// auto-shrink while its chunked traversal is still in flight; the
-// cursor must survive every shrink, or flush_all leaves entries
-// behind.
+// TestPurgeWhileShrinking: shards shrink while Purge's chunked
+// traversal of them is in flight; the cursor must survive every
+// shrink, or flush_all leaves entries behind. Sizes are pinned, and a
+// hook halves the shard Purge is walking every few thousand removals,
+// so each shard shrinks to its floor in the middle of its traversal
+// whatever the scheduler does.
 func TestPurgeWhileShrinking(t *testing.T) {
-	const n = 50_000
-	c, _ := newManual(t, WithShards(2))
+	const n, every = 50_000, 3000
+	c, _ := newManual(t, WithShards(2), WithInitialBuckets(1<<14), WithPolicy(core.Policy{MinBuckets: 64}))
 	for i := 0; i < n; i++ {
 		c.Set(fmt.Sprintf("key-%05d", i), "v")
 	}
-	grown := c.Buckets()
+	removed := make([]int, c.NumShards())
+	shrinks := make([]int, c.NumShards())
+	c.afterPurgeDelete = func(k string) {
+		s := c.m.ShardIndex(c.hash(k))
+		if removed[s]++; removed[s]%every != 0 {
+			return
+		}
+		tbl := c.m.Shard(s)
+		before := tbl.Buckets()
+		tbl.ShrinkOnce()
+		if tbl.Buckets() < before {
+			shrinks[s]++
+		}
+	}
 	if got := c.Purge(); got != n {
 		t.Fatalf("Purge = %d, want %d", got, n)
 	}
 	if c.Len() != 0 || c.Cost() != 0 {
 		t.Fatalf("Len=%d Cost=%d after Purge", c.Len(), c.Cost())
 	}
-	if c.Buckets() >= grown {
-		t.Fatalf("buckets %d -> %d: the purge never shrank the shards, so the test did not cover a shrink mid-traversal", grown, c.Buckets())
+	for s, k := range shrinks {
+		if k == 0 {
+			t.Fatalf("shard %d never shrank during its traversal (%d removals)", s, removed[s])
+		}
 	}
 }

@@ -124,6 +124,9 @@ func (c *Cache[K, V]) Purge() int {
 		if e, ok := c.m.CompareAndDelete(k, nil); ok {
 			c.cost.Add(-e.cost)
 			n++
+			if c.afterPurgeDelete != nil {
+				c.afterPurgeDelete(k)
+			}
 		}
 		return true
 	})

@@ -4,34 +4,48 @@ package core
 // engine seam (engine.go), selected with WithEngine(EngineFlat).
 //
 // Layout. Each bucket is one flatGroup: a packed word of eight 8-bit
-// hash tags, a retiring-cell mask, eight inline key/value cells, and
-// an overflow chain head for spill. A lookup loads the tag word once,
-// SWAR-scans it for candidate cells, and touches only cells whose tag
-// byte matches — the common miss costs one cache line, the common hit
-// two, with no pointer chase at all. The chain engine's lookup walks
-// a linked list whose nodes are scattered heap allocations; this
-// layout is the classic flat alternative (Maier et al.'s folklore
-// baseline, Malakhov's per-bucket tables) expressed relativistically.
+// hash tags, a pending-cleanup mask, eight cells, and an overflow
+// chain head for spill. A cell holds its key, its value inline, and
+// the pointer readers load the value through — which points at the
+// cell's own inline slot until the value is first replaced. A lookup
+// loads the tag word once, SWAR-scans it for candidate cells, and
+// touches only cells whose tag byte matches — the common miss costs
+// one cache line, the common hit two (tag word, then the cell with
+// its value), with no pointer chase off the group. The chain engine's
+// lookup walks a linked list whose nodes are scattered heap
+// allocations; this layout is the classic flat alternative (Maier et
+// al.'s folklore baseline, Malakhov's per-bucket tables) expressed
+// relativistically.
 //
 // Publication protocol. Cells are published and retired exclusively
 // through the tag word:
 //
-//   - Insert (stripe held): write the cell's hash/key plainly, store
-//     the value box, then atomically store the tag word with the
-//     cell's tag byte set. The tag store is the release edge; a
-//     reader that observes the tag observes the complete cell.
+//   - Insert (stripe held, cell unpublished with no cleanup pending):
+//     write the cell's key and inline value plainly, point val at the
+//     inline slot, then atomically store the tag word with the cell's
+//     tag byte set. The tag store is the release edge; a reader that
+//     observes the tag observes the complete cell. An insert
+//     allocates nothing.
+//   - Replace (stripe held): store a fresh heap box into val, so a
+//     reader sees the old value or the new one, never a torn one. The
+//     first replace after an insert displaces the inline value, which
+//     readers that loaded val earlier may still be reading: it sets
+//     the cell's clear bit and defers zeroing the slot past a grace
+//     period (so the displaced value can be collected). Later
+//     replaces go box to box and defer nothing.
 //   - Delete (stripe held): atomically store the tag word with the
 //     byte cleared, set the cell's retiring bit, and defer the
-//     cleanup (value-box release, retiring clear) past a grace
+//     cleanup (val and inline release, retiring clear) past a grace
 //     period. Readers that saw the tag may still be dereferencing
 //     the cell; the retiring bit keeps inserts from rewriting its
-//     hash/key until the grace period proves those readers gone.
-//     The deferred retiring clear is itself the release edge a later
+//     key and inline slot until the grace period proves those readers
+//     gone. Each deferred bit clear is itself the release edge a later
 //     insert's acquire load pairs with, so cell reuse is ordered
-//     after every reader that could see the old contents.
+//     after every reader that could see the old contents, and a
+//     pending inline clear can never zero a reused cell's new value.
 //
 // Readers therefore never synchronize: one atomic tag load, plain
-// cell reads, an atomic value-box load — the same read-side cost
+// cell reads, an atomic value-pointer load — the same read-side cost
 // model as the chain engine, on contiguous memory.
 //
 // Value plane. Every write — including Replace and
@@ -39,9 +53,9 @@ package core
 // deliberate semantic difference from the chain engine: chain resizes
 // relink the same nodes and never copy them, so a lock-free value CAS
 // can never be lost to a resize; the flat engine's COPY-based
-// migration (flat_resize.go) duplicates value pointers into new
-// groups, and a lock-free store into an already-copied cell would be
-// silently lost — a lost update, not a stale read. Riding the stripes
+// migration (flat_resize.go) copies values into new cells, and a
+// lock-free store into an already-copied cell would be silently
+// lost — a lost update, not a stale read. Riding the stripes
 // serializes value publishes with migration and keeps linearizability.
 //
 // Overflow spill reuses the chain engine's node type, but every
@@ -53,6 +67,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"rphash/internal/obs"
 )
@@ -90,18 +105,23 @@ func flatMatchMask(tags, tag uint64) uint64 {
 	return (x - flatLoBits) &^ x & flatHiBits
 }
 
-// flatCell is one inline element. hash and key are plain fields,
-// immutable from tag publication until a grace period after tag
-// clearance; val is swapped atomically so readers always observe a
-// complete value.
+// flatCell is one inline element. key and inline are plain fields
+// written before the tag publishes the cell: key is immutable until a
+// grace period after tag clearance, inline until the first replace
+// displaces it. val points at inline until that replace and at a heap
+// box after it, and is swapped atomically so readers always observe a
+// complete value. Lookups compare the key after an exact tag match;
+// the hash is not cached (recomputed only by resize and the checkers).
 type flatCell[K comparable, V any] struct {
-	val  atomic.Pointer[V]
-	hash uint64
-	key  K
+	val    atomic.Pointer[V]
+	key    K
+	inline V
 }
 
 // flatGroup is one bucket: the packed tag word, the retiring mask
-// (bit i set while cell i awaits its post-grace cleanup), the spill
+// (per cell i, flatRetireBit<<i while a delete's post-grace cleanup is
+// pending and flatClearBit<<i while a displaced inline value awaits its
+// post-grace clear; either keeps inserts off the cell), the spill
 // chain head, and the inline cells.
 type flatGroup[K comparable, V any] struct {
 	tags     atomic.Uint64
@@ -109,6 +129,11 @@ type flatGroup[K comparable, V any] struct {
 	overflow atomic.Pointer[node[K, V]]
 	cells    [flatGroupCells]flatCell[K, V]
 }
+
+const (
+	flatRetireBit uint64 = 1
+	flatClearBit  uint64 = 1 << flatGroupCells
+)
 
 // flatView is one immutable-size group array. The engine swaps whole
 // views on resize (flat_resize.go); while a migration is in flight
@@ -195,7 +220,7 @@ func (e *flatEngine[K, V]) lookupHashed(h uint64, k K) (V, bool) {
 			continue // SWAR borrow artifact; see flatMatchMask
 		}
 		c := &g.cells[i]
-		if c.hash == h && c.key == k {
+		if c.key == k {
 			if vp := c.val.Load(); vp != nil {
 				return *vp, true
 			}
@@ -250,8 +275,7 @@ func (g *flatGroup[K, V]) find(h uint64, k K) (int, *node[K, V]) {
 		if byte(tags>>(8*uint(i))) != byte(tag) {
 			continue
 		}
-		c := &g.cells[i]
-		if c.hash == h && c.key == k {
+		if g.cells[i].key == k {
 			return i, nil
 		}
 	}
@@ -264,59 +288,143 @@ func (g *flatGroup[K, V]) find(h uint64, k K) (int, *node[K, V]) {
 }
 
 // putLocked publishes a new element into group g: a free inline cell
-// if one exists (tag byte empty AND not retiring — a retiring cell
-// may still be dereferenced by pre-grace readers), else a prepend to
-// the spill chain. Raw storage only: callers own count/stat updates,
-// because migration copies re-publish existing elements through this
-// same path without recounting them.
-func (e *flatEngine[K, V]) putLocked(g *flatGroup[K, V], h uint64, k K, vp *V) {
+// if one exists, else a prepend to the spill chain. Raw storage only:
+// callers own count/stat updates, because migration copies re-publish
+// existing elements through this same path without recounting them.
+func (g *flatGroup[K, V]) putLocked(h uint64, k K, v V) {
+	if !g.putInline(flatTag(h), k, v) {
+		g.spill(h, k, v)
+	}
+}
+
+// putInline publishes (k, v) with the given tag into a free cell —
+// tag byte empty and no cleanup pending, since a cell awaiting one may
+// still be read by pre-grace readers — and reports whether one was
+// free. The value lives in the cell itself: no allocation.
+func (g *flatGroup[K, V]) putInline(tag uint64, k K, v V) bool {
 	tags := g.tags.Load()
-	retiring := g.retiring.Load()
+	pending := g.retiring.Load()
 	for i := 0; i < flatGroupCells; i++ {
-		if byte(tags>>(8*uint(i))) == 0 && retiring&(1<<uint(i)) == 0 {
+		if byte(tags>>(8*uint(i))) == 0 && pending&((flatRetireBit|flatClearBit)<<uint(i)) == 0 {
 			c := &g.cells[i]
-			c.hash = h
 			c.key = k
-			c.val.Store(vp)
-			g.tags.Store(tags | flatTag(h)<<(8*uint(i))) // publish
-			return
+			c.inline = v
+			c.val.Store(&c.inline)
+			g.tags.Store(tags | tag<<(8*uint(i))) // publish
+			return true
 		}
 	}
+	return false
+}
+
+// spill prepends (k, v) to g's overflow chain, boxing the value.
+func (g *flatGroup[K, V]) spill(h uint64, k K, v V) {
 	n := &node[K, V]{hash: h, key: k}
-	n.val.Store(vp)
+	n.val.Store(box(v))
 	n.next.Store(g.overflow.Load()) // initialize ...
 	g.overflow.Store(n)             // ... then publish
 }
 
-// flatRetire is the post-grace cleanup token of one removed element.
-// For an inline cell: release the value box and clear the retiring
-// bit (the release edge that lets putLocked reuse the cell). For a
-// spill node: sever next so a captured node cannot pin the live
-// chain.
+// box returns v in a fresh heap allocation: the value a replace
+// publishes, so a reader holding the previous pointer keeps a complete
+// old value.
+func box[V any](v V) *V { return &v }
+
+// valueAt loads the value of the element find located at (ci, n).
+func (g *flatGroup[K, V]) valueAt(ci int, n *node[K, V]) V {
+	if ci >= 0 {
+		return *g.cells[ci].val.Load()
+	}
+	return *n.val.Load()
+}
+
+// flatRetire is the post-grace cleanup token of one removed element
+// or one displaced inline value; the zero token asks for nothing. For
+// a cell, bit names the wait it ends (flatRetireBit for a delete,
+// flatClearBit for the first replace after an insert); clearing that
+// bit is the release edge that lets putLocked reuse the cell. For a
+// spill node: sever next so a captured node cannot pin the live chain.
 type flatRetire[K comparable, V any] struct {
 	g    *flatGroup[K, V]
 	cell int // -1 for an overflow node
 	n    *node[K, V]
+	bit  uint64
 }
 
 func (r flatRetire[K, V]) retire() {
-	if r.cell >= 0 {
-		r.g.cells[r.cell].val.Store(nil)
-		r.g.retiring.And(^(uint64(1) << uint(r.cell)))
+	if r.cell < 0 {
+		r.n.next.Store(nil)
 		return
 	}
-	r.n.next.Store(nil)
+	c := &r.g.cells[r.cell]
+	// Exactly one token zeroes each inline value: the clear token of
+	// the replace that displaced it, else the delete's (val still
+	// pointing at the slot says no replace did). So the two never write
+	// the slot concurrently, even when Defer runs them synchronously on
+	// two writers after the domain closed.
+	owns := r.bit == flatClearBit
+	if r.bit == flatRetireBit {
+		owns = c.val.Swap(nil) == &c.inline
+	}
+	if owns {
+		var zero V
+		c.inline = zero
+	}
+	r.g.retiring.And(^(r.bit << uint(r.cell)))
+}
+
+// queue passes a non-empty token through dom.Defer. Callers hold no
+// stripe. (Kept inlinable: most replaces queue nothing.)
+func (r flatRetire[K, V]) queue(t *Table[K, V]) {
+	if r.g != nil || r.n != nil {
+		r.deferRetire(t)
+	}
+}
+
+func (r flatRetire[K, V]) deferRetire(t *Table[K, V]) { t.dom.Defer(r.retire) }
+
+// retireAll queues one post-grace callback for a batch's tokens.
+// Callers hold no stripe.
+func retireAll[K comparable, V any](t *Table[K, V], rts []flatRetire[K, V]) {
+	if len(rts) > 0 {
+		t.dom.Defer(func() {
+			for _, r := range rts {
+				r.retire()
+			}
+		})
+	}
+}
+
+// replaceLocked stores the fresh box vp as the value of the element at
+// (ci, n) and returns the cleanup token the caller queues after
+// releasing the stripe: non-empty only when the store displaced a
+// cell's inline value, whose slot readers may still be reading. The
+// clear bit set here keeps the cell from reuse until that token ran.
+func (g *flatGroup[K, V]) replaceLocked(ci int, n *node[K, V], vp *V) flatRetire[K, V] {
+	if ci < 0 {
+		n.val.Store(vp)
+	} else if c := &g.cells[ci]; c.val.Swap(vp) == &c.inline {
+		return g.displaced(ci)
+	}
+	return flatRetire[K, V]{}
+}
+
+// displaced marks cell ci's inline value as awaiting its clear and
+// returns the token that performs it.
+func (g *flatGroup[K, V]) displaced(ci int) flatRetire[K, V] {
+	g.retiring.Or(flatClearBit << uint(ci))
+	return flatRetire[K, V]{g: g, cell: ci, bit: flatClearBit}
 }
 
 // removeLocked unpublishes the element at (ci, n) — exactly one of
 // cell index or overflow node — from group g and returns its retire
 // token, which the caller must pass through dom.Defer (directly or
 // batched). Count/stat updates are the caller's, mirroring putLocked.
-func (e *flatEngine[K, V]) removeLocked(g *flatGroup[K, V], ci int, n *node[K, V]) flatRetire[K, V] {
+func (g *flatGroup[K, V]) removeLocked(ci int, n *node[K, V]) flatRetire[K, V] {
 	if ci >= 0 {
 		g.tags.Store(g.tags.Load() &^ (uint64(0xff) << (8 * uint(ci))))
-		g.retiring.Or(uint64(1) << uint(ci))
-		return flatRetire[K, V]{g: g, cell: ci}
+		g.retiring.Or(flatRetireBit << uint(ci))
+		return flatRetire[K, V]{g: g, cell: ci, bit: flatRetireBit}
 	}
 	if head := g.overflow.Load(); head == n {
 		g.overflow.Store(n.next.Load())
@@ -334,19 +442,16 @@ func (e *flatEngine[K, V]) removeLocked(g *flatGroup[K, V], ci int, n *node[K, V
 // upsertLocked is the shared set/update storage step: replace in
 // place when present, publish when absent. Returns whether a new
 // element was inserted (counted here; callers fire resize triggers
-// after releasing the stripe).
-func (e *flatEngine[K, V]) upsertLocked(g *flatGroup[K, V], h uint64, k K, vp *V) bool {
-	if ci, n := g.find(h, k); ci >= 0 {
-		g.cells[ci].val.Store(vp)
-		return false
-	} else if n != nil {
-		n.val.Store(vp)
-		return false
+// after releasing the stripe) and the replace's cleanup token, which
+// callers queue after releasing it.
+func (e *flatEngine[K, V]) upsertLocked(g *flatGroup[K, V], h uint64, k K, v V) (bool, flatRetire[K, V]) {
+	if ci, n := g.find(h, k); ci >= 0 || n != nil {
+		return false, g.replaceLocked(ci, n, box(v))
 	}
-	e.putLocked(g, h, k, vp)
+	g.putLocked(h, k, v)
 	e.t.wc.count.Add(1)
 	e.t.wc.inserts.Add(1)
-	return true
+	return true, flatRetire[K, V]{}
 }
 
 func (e *flatEngine[K, V]) setHashed(h uint64, k K, v V) bool {
@@ -354,9 +459,10 @@ func (e *flatEngine[K, V]) setHashed(h uint64, k K, v V) bool {
 	pr := t.opStart(h)
 	s := t.lockHash(h)
 	g, assisted := e.writeGroupAssist(h)
-	inserted := e.upsertLocked(g, h, k, &v)
+	inserted, rt := e.upsertLocked(g, h, k, v)
 	spilled := g.overflow.Load() != nil
 	s.mu.Unlock()
+	rt.queue(t)
 	if inserted {
 		t.maybeAutoResizeBackpressure()
 	}
@@ -369,21 +475,16 @@ func (e *flatEngine[K, V]) swapHashed(h uint64, k K, v V) (old V, replaced bool)
 	pr := t.opStart(h)
 	s := t.lockHash(h)
 	g, assisted := e.writeGroupAssist(h)
-	if ci, n := g.find(h, k); ci >= 0 {
-		old = *g.cells[ci].val.Load()
-		g.cells[ci].val.Store(&v)
+	if ci, n := g.find(h, k); ci >= 0 || n != nil {
+		old = g.valueAt(ci, n)
+		rt := g.replaceLocked(ci, n, box(v))
 		spilled := g.overflow.Load() != nil
 		s.mu.Unlock()
+		rt.queue(t)
 		t.opRecord(pr, h, obs.OpSwap, flatOpPath(assisted, spilled), obs.OutReplaced)
 		return old, true
-	} else if n != nil {
-		old = *n.val.Load()
-		n.val.Store(&v)
-		s.mu.Unlock()
-		t.opRecord(pr, h, obs.OpSwap, flatOpPath(assisted, true), obs.OutReplaced)
-		return old, true
 	}
-	e.putLocked(g, h, k, &v)
+	g.putLocked(h, k, v)
 	t.wc.count.Add(1)
 	t.wc.inserts.Add(1)
 	spilled := g.overflow.Load() != nil
@@ -404,7 +505,7 @@ func (e *flatEngine[K, V]) insertHashed(h uint64, k K, v V) bool {
 		t.opRecord(pr, h, obs.OpInsert, flatOpPath(assisted, spilled), obs.OutNoop)
 		return false
 	}
-	e.putLocked(g, h, k, &v)
+	g.putLocked(h, k, v)
 	t.wc.count.Add(1)
 	t.wc.inserts.Add(1)
 	spilled := g.overflow.Load() != nil
@@ -417,16 +518,16 @@ func (e *flatEngine[K, V]) insertHashed(h uint64, k K, v V) bool {
 func (e *flatEngine[K, V]) replaceHashed(h uint64, k K, v V) bool {
 	t := e.t
 	s := t.lockHash(h)
-	defer s.mu.Unlock()
 	g := e.writeGroup(h)
-	if ci, n := g.find(h, k); ci >= 0 {
-		g.cells[ci].val.Store(&v)
-		return true
-	} else if n != nil {
-		n.val.Store(&v)
-		return true
+	ci, n := g.find(h, k)
+	if ci < 0 && n == nil {
+		s.mu.Unlock()
+		return false
 	}
-	return false
+	rt := g.replaceLocked(ci, n, box(v))
+	s.mu.Unlock()
+	rt.queue(t)
+	return true
 }
 
 func (e *flatEngine[K, V]) updateHashed(h uint64, k K, fn func(cur V, present bool) (V, bool)) (prev V, hadPrev, stored bool) {
@@ -434,15 +535,9 @@ func (e *flatEngine[K, V]) updateHashed(h uint64, k K, fn func(cur V, present bo
 	pr := t.opStart(h)
 	s := t.lockHash(h)
 	g, assisted := e.writeGroupAssist(h)
-	var slot *atomic.Pointer[V]
-	if ci, n := g.find(h, k); ci >= 0 {
-		slot = &g.cells[ci].val
-	} else if n != nil {
-		slot = &n.val
-	}
-	if slot != nil {
-		prev = *slot.Load()
-		hadPrev = true
+	ci, n := g.find(h, k)
+	if hadPrev = ci >= 0 || n != nil; hadPrev {
+		prev = g.valueAt(ci, n)
 	}
 	v, store := fn(prev, hadPrev)
 	if !store {
@@ -451,14 +546,15 @@ func (e *flatEngine[K, V]) updateHashed(h uint64, k K, fn func(cur V, present bo
 		t.opRecord(pr, h, obs.OpUpdate, flatOpPath(assisted, spilled), obs.OutNoop)
 		return prev, hadPrev, false
 	}
-	if slot != nil {
-		slot.Store(&v)
+	if hadPrev {
+		rt := g.replaceLocked(ci, n, box(v))
 		spilled := g.overflow.Load() != nil
 		s.mu.Unlock()
+		rt.queue(t)
 		t.opRecord(pr, h, obs.OpUpdate, flatOpPath(assisted, spilled), obs.OutReplaced)
 		return prev, hadPrev, true
 	}
-	e.putLocked(g, h, k, &v)
+	g.putLocked(h, k, v)
 	t.wc.count.Add(1)
 	t.wc.inserts.Add(1)
 	spilled := g.overflow.Load() != nil
@@ -481,12 +577,7 @@ func (e *flatEngine[K, V]) compareAndDeleteHashed(h uint64, k K, match func(V) b
 		t.opRecord(pr, h, obs.OpDelete, flatOpPath(assisted, spilled), obs.OutMiss)
 		return zero, false
 	}
-	var removed V
-	if ci >= 0 {
-		removed = *g.cells[ci].val.Load()
-	} else {
-		removed = *n.val.Load()
-	}
+	removed := g.valueAt(ci, n)
 	if match != nil && !match(removed) {
 		spilled := g.overflow.Load() != nil
 		s.mu.Unlock()
@@ -494,12 +585,12 @@ func (e *flatEngine[K, V]) compareAndDeleteHashed(h uint64, k K, match func(V) b
 		t.opRecord(pr, h, obs.OpDelete, flatOpPath(assisted, spilled), obs.OutNoop)
 		return zero, false
 	}
-	rt := e.removeLocked(g, ci, n)
+	rt := g.removeLocked(ci, n)
 	t.wc.count.Add(-1)
 	t.wc.deletes.Add(1)
 	spilled := g.overflow.Load() != nil || n != nil
 	s.mu.Unlock()
-	t.dom.Defer(rt.retire)
+	rt.queue(t)
 	t.maybeAutoResize()
 	t.opRecord(pr, h, obs.OpDelete, flatOpPath(assisted, spilled), obs.OutDeleted)
 	return removed, true
@@ -514,26 +605,22 @@ func (e *flatEngine[K, V]) compareAndSwapValueHashed(h uint64, k K, match func(V
 	pr := t.opStart(h)
 	s := t.lockHash(h)
 	g, assisted := e.writeGroupAssist(h)
-	var slot *atomic.Pointer[V]
-	if ci, n := g.find(h, k); ci >= 0 {
-		slot = &g.cells[ci].val
-	} else if n != nil {
-		slot = &n.val
-	}
+	ci, n := g.find(h, k)
 	spilled := g.overflow.Load() != nil
-	if slot == nil {
+	if ci < 0 && n == nil {
 		s.mu.Unlock()
 		t.opRecord(pr, h, obs.OpValueCAS, flatOpPath(assisted, spilled), obs.OutMiss)
 		return false, false
 	}
-	if match != nil && !match(*slot.Load()) {
+	if match != nil && !match(g.valueAt(ci, n)) {
 		s.mu.Unlock()
 		t.opRecord(pr, h, obs.OpValueCAS, flatOpPath(assisted, spilled), obs.OutNoop)
 		return false, true
 	}
-	slot.Store(&v)
+	rt := g.replaceLocked(ci, n, box(v))
 	t.stats.valueCASSwaps.Add(1)
 	s.mu.Unlock()
+	rt.queue(t)
 	t.opRecord(pr, h, obs.OpValueCAS, flatOpPath(assisted, spilled), obs.OutReplaced)
 	return true, true
 }
@@ -562,43 +649,38 @@ func (e *flatEngine[K, V]) move(oldKey, newKey K) bool {
 		unlock()
 		return false
 	}
-	var vp *V
-	if oci >= 0 {
-		vp = og.cells[oci].val.Load()
-	} else {
-		vp = on.val.Load()
-	}
-	e.putLocked(ng, nh, newKey, vp) // publish the copy first (shared value box)
+	ng.putLocked(nh, newKey, og.valueAt(oci, on)) // publish the copy first
 	t.stats.moves.Add(1)
-	rt := e.removeLocked(og, oci, on)
+	rt := og.removeLocked(oci, on)
 	unlock()
-	t.dom.Defer(rt.retire)
+	rt.queue(t)
 	return true
 }
 
 // ---------------------------------------------------------------------
 // Batched writes: the same sorted-stripe amortization as the chain
 // engine (batchWriter holds one stripe at a time), with migrate-on-
-// write per key and — for deletes — one deferred cleanup covering the
-// whole batch.
+// write per key and one deferred cleanup covering the whole batch.
 
 func (e *flatEngine[K, V]) setBatchHashed(hs []uint64, ks []K, vs []V) (inserted int) {
 	t := e.t
 	sc := t.stripeOrder(hs)
 	w := batchWriter[K, V]{t: t}
+	var rts []flatRetire[K, V]
 	for _, packed := range sc.ord {
 		i := int(packed & 0xffffffff)
 		w.acquire(hs[i])
 		g := e.writeGroup(hs[i])
-		// Copy before boxing: the box must not alias the caller's
-		// slice, which it may reuse after the call.
-		v := vs[i]
-		if e.upsertLocked(g, hs[i], ks[i], &v) {
+		ins, rt := e.upsertLocked(g, hs[i], ks[i], vs[i])
+		if ins {
 			inserted++
+		} else if rt.g != nil {
+			rts = append(rts, rt)
 		}
 	}
 	w.release()
 	t.batchPool.Put(sc)
+	retireAll(t, rts)
 	if inserted > 0 {
 		t.maybeAutoResizeBackpressure()
 	}
@@ -618,20 +700,14 @@ func (e *flatEngine[K, V]) deleteBatchHashed(hs []uint64, ks []K) (removed int) 
 		if ci < 0 && n == nil {
 			continue
 		}
-		rts = append(rts, e.removeLocked(g, ci, n))
+		rts = append(rts, g.removeLocked(ci, n))
 		t.wc.count.Add(-1)
 		t.wc.deletes.Add(1)
 		removed++
 	}
 	w.release()
 	t.batchPool.Put(sc)
-	if len(rts) > 0 {
-		t.dom.Defer(func() {
-			for _, r := range rts {
-				r.retire()
-			}
-		})
-	}
+	retireAll(t, rts)
 	if removed > 0 {
 		t.maybeAutoResize()
 	}
@@ -700,6 +776,14 @@ func (v *flatView[K, V]) scanUnit(u uint64, fn func(K, V) bool) bool {
 
 func (e *flatEngine[K, V]) snapshot() unitView[K, V] { return e.view.Load() }
 
+// holds reports whether p points into v's group array, as a pointer
+// to some cell's inline slot does (checkers only).
+func (v *flatView[K, V]) holds(p *V) bool {
+	lo := uintptr(unsafe.Pointer(&v.groups[0]))
+	a := uintptr(unsafe.Pointer(p))
+	return a >= lo && a < lo+uintptr(len(v.groups))*unsafe.Sizeof(v.groups[0])
+}
+
 // maxProbe reports the longest per-bucket probe: occupied inline
 // cells plus the spill-chain length of the fullest group, the flat
 // analogue of the chain engine's MaxChain.
@@ -739,8 +823,10 @@ func (e *flatEngine[K, V]) maxProbe() int {
 
 // checkInvariants validates the flat structure when writers are
 // quiesced: tag integrity (every published cell's tag byte matches
-// its hash, no cell is simultaneously published and retiring), hash
-// integrity, home routing (every element reachable through exactly
+// its key's hash, no cell is simultaneously published and retiring),
+// value placement (a published cell's val points at its own inline
+// slot, with no clear pending, or at a heap box — never into any
+// cell of either view's group arrays), home routing (every element reachable through exactly
 // the group the reader routing serves its hash from), spill-chain
 // termination, and count integrity across migration units.
 func (e *flatEngine[K, V]) checkInvariants() error {
@@ -760,25 +846,31 @@ func (e *flatEngine[K, V]) checkInvariants() error {
 				if b == 0 {
 					continue
 				}
-				if retiring&(1<<uint(i)) != 0 {
+				if retiring&(flatRetireBit<<uint(i)) != 0 {
 					err = fmt.Errorf("group %d cell %d: published and retiring simultaneously", gi, i)
 					return false
 				}
 				c := &g.cells[i]
-				if c.hash != t.hash(c.key) {
-					err = fmt.Errorf("group %d cell %d: key %v has stale hash", gi, i, c.key)
+				h := t.hash(c.key)
+				if byte(flatTag(h)) != b {
+					err = fmt.Errorf("group %d cell %d: tag %#x does not match hash tag %#x", gi, i, b, byte(flatTag(h)))
 					return false
 				}
-				if byte(flatTag(c.hash)) != b {
-					err = fmt.Errorf("group %d cell %d: tag %#x does not match hash tag %#x", gi, i, b, byte(flatTag(c.hash)))
-					return false
-				}
-				if c.hash&view.mask != gi {
+				if h&view.mask != gi {
 					err = fmt.Errorf("group %d cell %d: key %v homed in wrong group", gi, i, c.key)
 					return false
 				}
-				if c.val.Load() == nil {
+				switch vp := c.val.Load(); {
+				case vp == nil:
 					err = fmt.Errorf("group %d cell %d: published cell has nil value", gi, i)
+				case vp == &c.inline:
+					if retiring&(flatClearBit<<uint(i)) != 0 {
+						err = fmt.Errorf("group %d cell %d: value in its inline slot while the slot's clear is pending", gi, i)
+					}
+				case v.holds(vp) || v.prev != nil && v.prev.holds(vp):
+					err = fmt.Errorf("group %d cell %d: value points into another cell's inline slot", gi, i)
+				}
+				if err != nil {
 					return false
 				}
 				seen++
@@ -814,8 +906,8 @@ func (e *flatEngine[K, V]) checkInvariants() error {
 	return err
 }
 
-// checkInvariantsLive is the writer-concurrent subset: tag and hash
-// integrity of published cells plus spill-chain termination, over
+// checkInvariantsLive is the writer-concurrent subset: tag integrity
+// of published cells, spill hash integrity and spill-chain termination, over
 // both views of an in-flight migration. Count integrity is absent
 // for the same reason as the chain engine's live check.
 func (e *flatEngine[K, V]) checkInvariantsLive() error {
@@ -833,13 +925,8 @@ func (e *flatEngine[K, V]) checkInvariantsLive() error {
 					if b == 0 {
 						continue
 					}
-					c := &g.cells[i]
-					if c.hash != t.hash(c.key) {
-						err = fmt.Errorf("group %d cell %d: key %v has stale hash", gi, i, c.key)
-						return
-					}
-					if byte(flatTag(c.hash)) != b {
-						err = fmt.Errorf("group %d cell %d: tag %#x does not match hash tag %#x", gi, i, b, byte(flatTag(c.hash)))
+					if tg := byte(flatTag(t.hash(g.cells[i].key))); tg != b {
+						err = fmt.Errorf("group %d cell %d: tag %#x does not match hash tag %#x", gi, i, b, tg)
 						return
 					}
 				}

@@ -27,13 +27,29 @@ package core
 //     like unzip passes (one stripe lock per batch, writers on other
 //     stripes undisturbed), fanned out across the table's unzip
 //     workers. Each unit copy re-publishes its elements into the new
-//     groups, then sets the unit's migrated flag (release). Units
-//     already migrated by writers are skipped. Stale reads during
-//     the copy are legal: an element lives in old and new groups
-//     simultaneously, both copies share one value box, and the
-//     routing flag flips atomically — a reader sees exactly one copy,
-//     and every mutation (always in the new group, under the unit's
-//     stripe) is observed by readers routed there.
+//     groups — key and current value copied into fresh cells, the
+//     value inline — then sets the unit's migrated flag (release).
+//     Units already migrated by writers are skipped.
+//
+//     Why the copies are linearizable although they share nothing.
+//     The old view is immutable once published: the swap held every
+//     stripe, so every later writer loads the new view, and it
+//     migrates its unit (writeGroup) before it mutates anything
+//     (pending cleanups touch only cells no tag publishes). The unit's
+//     stripe is held from the copy through the flag store, so at the
+//     flag store both copies hold the same elements and values, and
+//     every mutation of the unit after publication lands in the new
+//     groups after that store. A reader that sees the flag clear
+//     linearizes at its flag load: the old copy has not changed since
+//     the publish, so it is the unit's state at that instant, and every
+//     later mutation follows the flag store. (A reader still holding a
+//     view pointer loaded before the publish is an ordinary reader of
+//     that view, which no write touches after the publish.) A reader
+//     that sees the flag set (acquire,
+//     pairing with the release store) observes the complete new copy
+//     and every later mutation ordered by the stripe. The flag never
+//     clears, so a lookup that starts after another finished never
+//     routes back to the older copy.
 //  4. "Wait for readers": one grace period, after which no reader
 //     can be walking an old group.
 //  5. "Retire" (all stripes held, epoch odd): publish a finished view
@@ -197,30 +213,40 @@ func (e *flatEngine[K, V]) migrateStripe(v *flatView[K, V], sa *stripeArray, s, 
 // new group(s) alike, serializing this copy against every writer and
 // every other migrator of the unit.
 func (e *flatEngine[K, V]) migrateUnit(v *flatView[K, V], u uint64) {
-	old := v.prev
-	e.copyGroup(v, &old.groups[u])
-	if old.mask > v.mask { // shrinking: the high sibling merges in too
-		e.copyGroup(v, &old.groups[u+v.unitMask+1])
+	e.copyGroup(v, u)
+	if v.prev.mask > v.mask { // shrinking: the high sibling merges in too
+		e.copyGroup(v, u+v.unitMask+1)
 	}
 	v.migrated[u].Store(1) // release: readers now route to the new groups
 	v.done.Add(1)          // introspection only: units migrated so far
 }
 
-// copyGroup re-publishes every element of src into its new home
-// group. Inline cells keep their value box (one box per element for
-// the element's whole life — what makes stale routing linearizable);
-// overflow nodes are copied because the chain engine's node-retire
-// protocol must not see one node on two chains.
-func (e *flatEngine[K, V]) copyGroup(v *flatView[K, V], src *flatGroup[K, V]) {
+// copyGroup re-publishes every element of old group gi into its new
+// home group as a fresh element: the value is copied into the new
+// cell's inline slot (so a resize also unboxes replaced values), or
+// into a fresh box if the element spills. Cells carry no hash, so a
+// grow recomputes it to pick between the two split groups; a shrink
+// merges gi into group gi&mask, keeps the source tag byte, and needs
+// the hash only for an element that spills.
+func (e *flatEngine[K, V]) copyGroup(v *flatView[K, V], gi uint64) {
+	src := &v.prev.groups[gi]
+	grow := v.mask > v.prev.mask
 	tags := src.tags.Load()
 	for i := 0; i < flatGroupCells; i++ {
-		if byte(tags>>(8*uint(i))) == 0 {
+		tag := tags >> (8 * uint(i)) & 0xff
+		if tag == 0 {
 			continue
 		}
 		c := &src.cells[i]
-		e.putLocked(&v.groups[c.hash&v.mask], c.hash, c.key, c.val.Load())
+		val := *c.val.Load()
+		if grow {
+			h := e.t.hash(c.key)
+			v.groups[h&v.mask].putLocked(h, c.key, val)
+		} else if dst := &v.groups[gi&v.mask]; !dst.putInline(tag, c.key, val) {
+			dst.spill(e.t.hash(c.key), c.key, val)
+		}
 	}
 	for n := src.overflow.Load(); n != nil; n = n.next.Load() {
-		e.putLocked(&v.groups[n.hash&v.mask], n.hash, n.key, n.val.Load())
+		v.groups[n.hash&v.mask].putLocked(n.hash, n.key, *n.val.Load())
 	}
 }

@@ -315,7 +315,8 @@ func waitFor(t *testing.T, cond func() bool) {
 // torture test: synchronization-free readers and batch readers assert
 // the stable-key invariant (stable keys always present with their
 // original values, never-inserted keys always absent) while writers
-// churn a disjoint key range, an insert gauntlet proves exactly-one
+// churn a disjoint key range, a replacer rewrites the stable keys with
+// their own values, an insert gauntlet proves exactly-one
 // winner per contended key, and the table is simultaneously driven
 // through copy-based resize toggling and stripe retune churn.
 func TestFlatEngineTortureResizeStripeChurn(t *testing.T) {
@@ -413,6 +414,37 @@ func TestFlatEngineTortureResizeStripeChurn(t *testing.T) {
 			}
 		}(int64(100 + g))
 	}
+
+	// Value replacers on the stable keys, through every replacing write.
+	// Each stores the value readers expect, so a reader that still
+	// read a displaced inline slot after its deferred clear would see
+	// zero and fail the stable-key check; resizes unbox the values
+	// again, so the inline → box transition repeats every cycle.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(7))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := uint64(1 + rng.Intn(stable-1))
+			switch rng.Intn(5) {
+			case 0:
+				tbl.Set(k, int(k))
+			case 1:
+				tbl.Swap(k, int(k))
+			case 2:
+				tbl.Replace(k, int(k))
+			case 3:
+				tbl.Update(k, func(int, bool) (int, bool) { return int(k), true })
+			default:
+				tbl.CompareAndSwapValue(k, nil, int(k))
+			}
+		}
+	}()
 
 	// Insert gauntlet: 4 goroutines race Insert on the same keys;
 	// exactly one winner per key must be recorded in the ledger.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -256,4 +257,91 @@ func BenchmarkWriteSetBatch100(b *testing.B) {
 			tbl.SetBatch(ks, vs)
 		}
 	})
+}
+
+// Flat-engine write benchmarks. A flat cell holds its value inline, so
+// an insert allocates nothing; a replace allocates the one box it
+// publishes (-benchmem shows both).
+
+// BenchmarkWriteFlatInsert inserts fresh keys into a growing flat
+// table (DefaultPolicy, from 64 groups to 64 k keys, then a new
+// table), so the auto-resizes the inserts trigger are paid for here.
+func BenchmarkWriteFlatInsert(b *testing.B) {
+	const perTable = 1 << 16
+	opts := []Option{WithEngine(EngineFlat), WithPolicy(DefaultPolicy())}
+	tbl := NewUint64[uint64](opts...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perTable == perTable-1 {
+			b.StopTimer()
+			tbl.Close()
+			tbl = NewUint64[uint64](opts...)
+			b.StartTimer()
+		}
+		k := uint64(i)
+		tbl.Insert(k, k)
+	}
+	b.StopTimer()
+	tbl.Close()
+}
+
+// BenchmarkWriteFlatReplace replaces values of 64 k keys in a fixed
+// table of 16 k groups (load 4), uniformly at random. spill is
+// Stats().FlatSpillRatio() after at least 1 M replaces (topped up
+// untimed when b.N is smaller): replaces must not push elements out of
+// their groups.
+func BenchmarkWriteFlatReplace(b *testing.B) {
+	const keys, groups, replaces = 1 << 16, 1 << 14, 1 << 20
+	tbl := NewUint64[uint64](WithEngine(EngineFlat), WithInitialBuckets(groups), WithPolicy(Policy{MinBuckets: groups}))
+	defer tbl.Close()
+	for k := uint64(0); k < keys; k++ {
+		tbl.Set(k, k)
+	}
+	x := uint64(0x9e3779b97f4a7c15)
+	replace := func() {
+		x += 0x9e3779b97f4a7c15
+		k := (x ^ x>>31) % keys
+		tbl.Set(k, x)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replace()
+	}
+	b.StopTimer()
+	for i := b.N; i < replaces; i++ {
+		replace()
+	}
+	b.ReportMetric(tbl.Stats().FlatSpillRatio(), "spill")
+}
+
+// BenchmarkWriteFlatResizeString times one copy-based resize step of a
+// flat table holding 64 k string keys, between 16 k and 32 k groups:
+// expand recomputes each key's hash to split groups, shrink merges
+// them without hashing. ns/elem is the step's time per element.
+func BenchmarkWriteFlatResizeString(b *testing.B) {
+	const keys, small = 1 << 16, 1 << 14
+	ks := make([]string, keys)
+	for i := range ks {
+		ks[i] = fmt.Sprintf("key-%d", i)
+	}
+	run := func(b *testing.B, groups uint64, step func(*Table[string, int])) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			tbl := NewString[int](WithEngine(EngineFlat), WithInitialBuckets(groups), WithPolicy(Policy{MinBuckets: small}))
+			for j, k := range ks {
+				tbl.Set(k, j)
+			}
+			runtime.GC() // time the copy, not a collection the preload left due
+			b.StartTimer()
+			step(tbl)
+			b.StopTimer()
+			tbl.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/elem")
+	}
+	b.Run("expand", func(b *testing.B) { run(b, small, (*Table[string, int]).ExpandOnce) })
+	b.Run("shrink", func(b *testing.B) { run(b, 2*small, (*Table[string, int]).ShrinkOnce) })
 }

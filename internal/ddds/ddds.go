@@ -72,6 +72,10 @@ type Table[K comparable, V any] struct {
 
 	// batch is how many buckets migrate per mutex acquisition.
 	batch int
+
+	// afterPublish, when set (tests only), runs inside Resize once the
+	// new array is published, with mu held and nothing migrated yet.
+	afterPublish func()
 }
 
 // New creates a table with the given hash and initial bucket count
@@ -271,9 +275,18 @@ func (t *Table[K, V]) Resize(n uint64) {
 		return
 	}
 	fresh := newArray[K, V](n)
+	// Publication order, against a Get that loads gen, then old, then
+	// cur, then gen again. old first: a Get that sees the odd stamp
+	// finds the complete old array. The stamp before cur: a Get that
+	// loads the fresh, still-empty array re-reads a stamp that moved
+	// and retries. (Stamping first would reopen the hole on the odd
+	// side: old loaded still nil, cur loaded already fresh.)
 	t.old.Store(cur)
-	t.cur.Store(fresh)
 	t.gen.Add(1) // odd: resize in progress
+	t.cur.Store(fresh)
+	if t.afterPublish != nil {
+		t.afterPublish()
+	}
 	t.mu.Unlock()
 
 	// Migrate bucket ranges under short critical sections.
@@ -305,6 +318,8 @@ func (t *Table[K, V]) Resize(n uint64) {
 		runtime.Gosched()
 	}
 
+	// old before the stamp: a Get that still sees the odd stamp but
+	// loads old == nil searches cur, which now holds every element.
 	t.mu.Lock()
 	t.old.Store(nil)
 	t.gen.Add(1) // even: resize complete

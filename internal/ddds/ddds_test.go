@@ -84,6 +84,51 @@ func TestLookupDuringMigration(t *testing.T) {
 	}
 }
 
+// TestGetInsidePublishWindow pins the schedule that lost lookups when
+// Resize stamped gen only after publishing the fresh array: every Get
+// runs inside Resize's publication critical section, where the fresh
+// array is published and still empty. Each must find its key — not
+// return a miss validated by an unchanged even stamp.
+func TestGetInsidePublishWindow(t *testing.T) {
+	tbl := NewUint64[int](8)
+	defer tbl.Close()
+	const n = 64
+	for i := uint64(0); i < n; i++ {
+		tbl.Set(i, int(i))
+	}
+	calls := 0
+	tbl.afterPublish = func() {
+		calls++
+		// Off the resizer's goroutine: Get's fallback path takes the
+		// mutex Resize holds here, so a Get that fell back must not
+		// block the resizer forever.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := uint64(0); i < n; i++ {
+				if v, ok := tbl.Get(i); !ok || v != int(i) {
+					t.Errorf("Get(%d) inside the publish window = %d,%v; want %d,true", i, v, ok, i)
+					return
+				}
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Error("Get inside the publish window did not return")
+		}
+	}
+	tbl.Resize(16)
+	if calls != 1 {
+		t.Fatalf("publish hook ran %d times, want 1", calls)
+	}
+	for i := uint64(0); i < n; i++ {
+		if v, ok := tbl.Get(i); !ok || v != int(i) {
+			t.Fatalf("Get(%d) after Resize = %d,%v", i, v, ok)
+		}
+	}
+}
+
 // TestWritersDuringMigration interleaves Set/Delete with an active
 // incremental migration.
 func TestWritersDuringMigration(t *testing.T) {

@@ -154,9 +154,9 @@ type ringSlot struct {
 //
 // Two writers can only collide on a slot when one laps the other by a
 // full ring — with the default 1024 slots and resize-lifecycle event
-// rates, effectively never. If it does happen, the marker protocol
-// makes the slot decode as torn and Snapshot drops it: the ring
-// degrades by losing an event, not by fabricating one.
+// rates, rarely. If it does happen, the slot goes to one of them and
+// the other's event is dropped: the ring degrades by losing an event,
+// not by fabricating one from two writers' fields.
 type Ring struct {
 	head  atomic.Uint64
 	mask  uint64
@@ -186,18 +186,30 @@ func (r *Ring) Record(typ EventType, shard int, a, b, c int64) {
 	}
 	seq := r.head.Add(1) - 1
 	now := time.Now().UnixNano()
-	s := &r.slots[seq&r.mask]
-	s.marker.Store(2*seq + 1)
-	s.nanos.Store(now)
-	s.tysh.Store(uint64(typ)<<32 | uint64(uint32(int32(shard))))
-	s.a.Store(a)
-	s.b.Store(b)
-	s.c.Store(c)
-	s.marker.Store(2*seq + 2)
+	r.write(seq, now, uint64(typ)<<32|uint64(uint32(int32(shard))), a, b, c)
 	if trace.IsEnabled() {
 		ev := Event{Seq: seq, Nanos: now, Type: typ, Shard: int32(shard), A: a, B: b, C: c}
 		trace.Log(context.Background(), "rphash", ev.String())
 	}
+}
+
+// write stores the event of ticket seq into its slot. The writer takes
+// the slot only by moving its marker from stable-and-older to its own
+// odd value, so a writer that laps a slower one never interleaves its
+// stores with the slower one's: whichever finds the slot mid-write, or
+// already holding a newer event, drops its own event instead.
+func (r *Ring) write(seq uint64, nanos int64, tysh uint64, a, b, c int64) {
+	s := &r.slots[seq&r.mask]
+	m := s.marker.Load()
+	if m%2 == 1 || m > 2*seq || !s.marker.CompareAndSwap(m, 2*seq+1) {
+		return
+	}
+	s.nanos.Store(nanos)
+	s.tysh.Store(tysh)
+	s.a.Store(a)
+	s.b.Store(b)
+	s.c.Store(c)
+	s.marker.Store(2*seq + 2)
 }
 
 // Len returns the number of events recorded so far (monotone; may

@@ -105,17 +105,10 @@ func TestRingConcurrentWraparound(t *testing.T) {
 
 // recordSeqLinked records an event whose payload is derived from its
 // own ticket, so readers can verify slots decode consistently. It
-// mirrors Ring.Record but must claim the ticket itself to know it.
+// claims the ticket itself, as Ring.Record does, to know it.
 func recordSeqLinked(r *Ring) {
 	seq := r.head.Add(1) - 1
-	s := &r.slots[seq&r.mask]
-	s.marker.Store(2*seq + 1)
-	s.nanos.Store(int64(seq))
-	s.tysh.Store(uint64(EvUnzipPass) << 32)
-	s.a.Store(int64(seq))
-	s.b.Store(int64(seq) * 2)
-	s.c.Store(0)
-	s.marker.Store(2*seq + 2)
+	r.write(seq, int64(seq), uint64(EvUnzipPass)<<32, int64(seq), int64(seq)*2, 0)
 }
 
 func TestRingDump(t *testing.T) {

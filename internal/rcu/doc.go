@@ -56,7 +56,10 @@
 // periods remain algorithmically essential: the hash table's unzip
 // operation uses Synchronize to guarantee no reader is mid-traversal
 // across a link it is about to redirect. Defer is for memory that is
-// reused in place rather than dropped — the flat bucket engine's
-// cells, which a writer may refill only once no reader can still be
-// looking at the old contents (and internal/rlist's node severing).
+// reused in place rather than dropped, which in this repository means
+// the flat bucket engine's cells: a deleted cell's retire (release its
+// value, then let writers refill it) and the one-time clear of a
+// cell's inline value slot after the first replace moves the value
+// into a heap box. Both run only once no reader can still be looking
+// at the old contents.
 package rcu
