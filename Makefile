@@ -5,7 +5,7 @@ GO      ?= go
 COUNT   ?= 10
 BENCHOUT ?= bench-write.txt
 
-.PHONY: test race stress lint test-invariants bench-write bench-adapt bench-shards bench-evict bench-smoke fig5 ablation6 ablation7 ablation8
+.PHONY: test race stress torture lint test-invariants bench-write bench-shards bench-evict bench-smoke fig5 ablation7 ablation8
 
 test:
 	$(GO) build ./...
@@ -27,6 +27,16 @@ stress:
 			exit 1; }; \
 	done; \
 	echo "stress: every package passed (-shuffle=$$seed)"
+
+# torture hammers the concurrency torture tests (every test whose name
+# contains Torture, in every package): 200 runs each at GOMAXPROCS 2
+# and 4, first plain, then with -tags=invariants so every resize step
+# the tests drive re-validates the table's structure live. Races that
+# show up once in a few hundred runs (a duplicate key from a lock-free
+# insert racing a striped one, say) surface here.
+torture:
+	$(GO) test -count=200 -cpu 2,4 -timeout 0 -run Torture ./...
+	$(GO) test -tags=invariants -count=200 -cpu 2,4 -timeout 0 -run Torture ./...
 
 # lint runs the in-tree RCU-discipline analyzers (cmd/rplint) over
 # the whole module, both standalone and through the `go vet -vettool`
@@ -61,17 +71,9 @@ bench-write:
 	$(GO) test -run='^$$' -bench='Write' -benchmem -count=$(COUNT) \
 		./internal/core ./internal/shard | tee $(BENCHOUT)
 
-# bench-adapt produces benchstat-friendly output for the adaptive
-# maintenance paths: adaptive-vs-fixed upserts (controller overhead +
-# convergence), the SetStripes array-swap cost, and sequential vs
-# parallel unzip expansions. Same before/after flow as bench-write.
-bench-adapt:
-	$(GO) test -run='^$$' -bench='Adapt' -benchmem -count=$(COUNT) \
-		./internal/core | tee bench-adapt.txt
-
 # bench-shards is the shard-layer diet sweep: shards=1 vs the default
 # shard count on pure-upsert and 90/10 mixed workloads, striped
-# tables, adapt pinned off. Feed the two series to benchstat to decide
+# tables. Feed the two series to benchstat to decide
 # whether DefaultShards still earns its keep on your hardware (the
 # README records the reference result).
 bench-shards:
@@ -96,12 +98,6 @@ bench-smoke:
 # ablation vs sharded map vs lock baselines) and writes BENCH_fig5.json.
 fig5:
 	$(GO) run ./cmd/rphash-bench -fig 5 -json
-
-# ablation6 runs the adaptive-maintenance ablation (fixed-vs-adaptive
-# stripes on uniform and zipf writers; sequential vs parallel unzip)
-# and writes BENCH_ablation6.json.
-ablation6:
-	$(GO) run ./cmd/rphash-bench -adapt -json
 
 # ablation7 runs the lock-free write fast-path ablation (locked vs
 # CAS insert, striped vs CAS value RMW, uniform and zipf writers) and

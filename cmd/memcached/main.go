@@ -14,7 +14,7 @@
 //
 // With -debug-addr, a second HTTP listener exposes the observability
 // plane: /metrics (Prometheus text), /debug/vars (expvar-style JSON),
-// /debug/events (resize/retune lifecycle timeline), /debug/ops (the
+// /debug/events (resize lifecycle timeline), /debug/ops (the
 // flight recorder's sampled per-operation path/latency summary, when
 // -flight-sample is on), and /debug/pprof. The rp engine additionally
 // records grace-period waits, stripe-lock waits, and per-command

@@ -24,15 +24,11 @@
 //	                threads, batch, ops/sec per point) so successive
 //	                PRs can diff benchmark trajectories
 //	-engines LIST   extra fixed-size engines to append to figure 1
-//	                (any of: rp-1lock,rp-adapt,rp-sharded,rp-cache,
+//	                (any of: rp-1lock,rp-sharded,rp-cache,
 //	                mutex,sharded,xu,syncmap)
 //	-shards N       shard count for the rp-sharded engine (default
 //	                0 = shard.DefaultShards: one per ~4 cores, cap 16)
-//	-ablation       run the ablation suite A1–A6
-//	-adapt          run only ablation A6: adaptive-vs-fixed stripes
-//	                (uniform + zipf writers) and sequential-vs-parallel
-//	                unzip migration; with -json also writes
-//	                BENCH_ablation6.json
+//	-ablation       run the ablation suite (A1–A5, A7, A8)
 //	-caswrite       run only ablation A7: the lock-free write fast
 //	                path (locked vs CAS insert, striped vs CAS value
 //	                RMW, uniform + zipf); with -json also writes
@@ -42,8 +38,8 @@
 //	                at 1..-writers threads; bytes/element for both
 //	                layouts via the A4 methodology); with -json also
 //	                writes BENCH_ablation8.json
-//	-writers N      writer count for the A6 stripe sweep, and the top
-//	                of the A7 writer sweep (default 8)
+//	-writers N      the top of the A7 writer sweep and the A8 thread
+//	                sweep (default 8)
 package main
 
 import (
@@ -75,11 +71,10 @@ func main() {
 		repeats  = flag.Int("repeats", 3, "runs per point (median reported)")
 		extra    = flag.String("engines", "", "extra engines for figure 1 (rp-sharded,rp-cache,mutex,sharded,xu,syncmap)")
 		shards   = flag.Int("shards", 0, "shard count for the rp-sharded engine (0 = shard.DefaultShards: one per ~4 cores, cap 16)")
-		ablation = flag.Bool("ablation", false, "run the ablation suite (A1-A6) instead of the paper figures")
-		adaptA6  = flag.Bool("adapt", false, "run only ablation A6 (adaptive stripes + parallel unzip); with -json writes BENCH_ablation6.json")
+		ablation = flag.Bool("ablation", false, "run the ablation suite (A1-A5, A7, A8) instead of the paper figures")
 		casA7    = flag.Bool("caswrite", false, "run only ablation A7 (lock-free write fast path); with -json writes BENCH_ablation7.json")
 		flatA8   = flag.Bool("flatengine", false, "run only ablation A8 (flat vs chain bucket engine); with -json writes BENCH_ablation8.json")
-		writers  = flag.Int("writers", 8, "writer count for the A6 adaptive-stripes sweep and the top of the A7 sweep")
+		writers  = flag.Int("writers", 8, "the top of the A7 writer sweep and the A8 thread sweep")
 	)
 	flag.Parse()
 	bench.DefaultShards = *shards
@@ -103,13 +98,6 @@ func main() {
 	fmt.Printf("rphash-bench: GOMAXPROCS=%d keys=%d small=%d large=%d duration=%v\n\n",
 		runtime.GOMAXPROCS(0), *keys, *small, *large, *duration)
 
-	if *adaptA6 {
-		if err := runAblationA6(cfg, *writers, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "rphash-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *casA7 {
 		if err := runAblationA7(cfg, *writers, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "rphash-bench:", err)
@@ -126,10 +114,6 @@ func main() {
 	}
 	if *ablation {
 		runAblations(cfg, *csv)
-		if err := runAblationA6(cfg, *writers, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "rphash-bench:", err)
-			os.Exit(1)
-		}
 		if err := runAblationA7(cfg, *writers, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "rphash-bench:", err)
 			os.Exit(1)
@@ -249,95 +233,6 @@ func runAblations(cfg bench.Config, csv bool) {
 		fmt.Fprintln(os.Stderr, "rphash-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// ablation6JSON is the machine-readable A6 trajectory point:
-// adaptive-vs-fixed stripe throughput on both workloads, and the
-// parallel-unzip wall-time sweep.
-type ablation6JSON struct {
-	Ablation        int                             `json:"ablation"`
-	AdaptiveStripes []bench.AdaptiveStripesResult   `json:"adaptive_stripes"`
-	ParallelUnzip   []ablation6ParallelUnzipJSON    `json:"parallel_unzip"`
-	Summary         map[string]ablation6SummaryJSON `json:"summary"`
-}
-
-type ablation6ParallelUnzipJSON struct {
-	Workers        int    `json:"workers"`
-	Keys           uint64 `json:"keys"`
-	FromBuckets    uint64 `json:"from_buckets"`
-	ToBuckets      uint64 `json:"to_buckets"`
-	ElapsedNanos   int64  `json:"elapsed_ns"`
-	UnzipPasses    uint64 `json:"unzip_passes"`
-	UnzipCuts      uint64 `json:"unzip_cuts"`
-	ParallelPasses uint64 `json:"parallel_passes"`
-}
-
-type ablation6SummaryJSON struct {
-	BestFixedOpsPerSec float64 `json:"best_fixed_ops_per_sec"`
-	AdaptiveOpsPerSec  float64 `json:"adaptive_ops_per_sec"`
-	AdaptiveRatio      float64 `json:"adaptive_ratio"`
-}
-
-// runAblationA6 runs the adaptive-maintenance ablation: A6a
-// (fixed-vs-adaptive stripes, uniform and zipf writers) and A6b
-// (sequential vs parallel unzip migration), printing tables and
-// optionally writing BENCH_ablation6.json.
-func runAblationA6(cfg bench.Config, writers int, jsonOut bool) error {
-	fmt.Println("== Ablation A6a: adaptive vs fixed stripes ==")
-	rows := bench.AblationAdaptiveStripes(cfg, writers, nil)
-	fmt.Printf("%-9s %-10s %8s %16s %12s\n", "workload", "stripes", "writers", "upserts/s", "end-stripes")
-	for _, r := range rows {
-		fmt.Printf("%-9s %-10s %8d %16.0f %12d\n",
-			r.Workload, r.Setting, r.Writers, r.UpsertsPerS, r.EndStripes)
-	}
-	summary := make(map[string]ablation6SummaryJSON)
-	for _, wl := range []string{"uniform", "zipf"} {
-		bestFixed, adaptive := bench.BestFixed(rows, wl)
-		ratio := 0.0
-		if bestFixed > 0 {
-			ratio = adaptive / bestFixed
-		}
-		summary[wl] = ablation6SummaryJSON{
-			BestFixedOpsPerSec: bestFixed,
-			AdaptiveOpsPerSec:  adaptive,
-			AdaptiveRatio:      ratio,
-		}
-		fmt.Printf("%s: adaptive/best-fixed = %.3f\n", wl, ratio)
-	}
-	fmt.Println()
-
-	fmt.Println("== Ablation A6b: parallel unzip migration ==")
-	unzip := bench.AblationParallelUnzip(cfg.Keys*8, cfg.SmallBuckets/2, []int{1, 2, 4})
-	fmt.Printf("%8s %10s %14s %12s %8s %10s %10s\n",
-		"workers", "keys", "buckets", "elapsed", "passes", "cuts", "par-passes")
-	var uz []ablation6ParallelUnzipJSON
-	for _, r := range unzip {
-		fmt.Printf("%8d %10d %6d->%-6d %12v %8d %10d %10d\n",
-			r.Workers, r.Keys, r.FromBuckets, r.ToBuckets,
-			r.Elapsed.Round(time.Microsecond), r.UnzipPasses, r.UnzipCuts, r.ParallelPasses)
-		uz = append(uz, ablation6ParallelUnzipJSON{
-			Workers: r.Workers, Keys: r.Keys,
-			FromBuckets: r.FromBuckets, ToBuckets: r.ToBuckets,
-			ElapsedNanos: r.Elapsed.Nanoseconds(),
-			UnzipPasses:  r.UnzipPasses, UnzipCuts: r.UnzipCuts,
-			ParallelPasses: r.ParallelPasses,
-		})
-	}
-	fmt.Println()
-
-	if !jsonOut {
-		return nil
-	}
-	out := ablation6JSON{Ablation: 6, AdaptiveStripes: rows, ParallelUnzip: uz, Summary: summary}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_ablation6.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote BENCH_ablation6.json\n\n")
-	return nil
 }
 
 // a7Writers expands the -writers flag into the A7 sweep: powers of

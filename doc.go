@@ -180,51 +180,18 @@
 // never skips one: the cursor walks buckets in bit-reversed order,
 // which survives resizes).
 //
-// # Adaptive maintenance
+// # Fixed writer shape
 //
-// The paper's thesis — table shape is a runtime decision — extends
-// past the bucket array to the two knobs the striped writer side
-// added, via a per-table maintenance controller (internal/adapt):
-//
-//   - What is sampled: each writer stripe keeps two padded counters,
-//     total acquisitions and contended acquisitions (a failed TryLock
-//     before blocking). The controller samples their sums on an
-//     interval (default 100ms) and computes the contention rate
-//     between samples; it also reads the live unzip-migration backlog
-//     of any in-flight expansion. Both signals cost the write path
-//     nothing measurable (the counters live on the stripe's own cache
-//     line, which the acquiring writer already owns).
-//
-//   - Stripe retuning: sustained contention at or above 5% for 2
-//     consecutive samples doubles the physical writer-lock array
-//     (up to 256 stripes); sustained contention at or below 0.5% for
-//     10 samples halves it (down to 64 by default). The thresholds
-//     sit an order of magnitude apart and the shrink streak is five
-//     times the grow streak — hysteresis, so bursts are answered
-//     quickly, capacity is returned reluctantly, and the controller
-//     never thrashes at a boundary. The swap itself follows the
-//     bucket-array discipline: the new lock array is published with
-//     one atomic store while every old stripe is held, so chain
-//     coverage is never split across arrays. Intervals with fewer
-//     than 256 acquisitions are ignored (idle tables hold shape).
-//
-//   - Migration fan-out: while an expansion is unzipping, the
-//     controller sizes the table's unzip worker pool from the
-//     observed backlog (one extra worker per 64 backlogged parent
-//     chains, capped at half the cores). Migration batches on
-//     different stripes are independent, and all workers of a pass
-//     share that pass's single grace period, so a big resize finishes
-//     in a fraction of the sequential wall time with the identical
-//     cut schedule and grace-period count.
-//
-// Map and Cache run one controller per shard table by default.
-// Reproducible benchmarks pin the shape instead: WithMapAdapt(nil)
-// (or WithCacheAdapt(nil), or plain Table, where maintenance is
-// opt-in via WithAdapt/Maintain) turns the controller off, and
-// WithStripes/WithMapTableStripes fixes the stripe count — this is
-// exactly what the repository's own figure sweeps do. AdaptStats (on
-// Table, Map, and Cache) reports samples, grows, shrinks, fan-out
-// retunes, and the last sampled rate.
+// As in the paper, the writer side has a fixed shape. A table's
+// stripe array is built with the table (WithStripes, or a few stripes
+// per core by default) and never replaced; only the effective stripe
+// mask moves, at resize boundaries, so it never exceeds the bucket
+// count. Each resize step migrates with one sequential resizer, one
+// stripe at a time, sharing one grace period per pass. Every stripe
+// counts its acquisitions and its contended acquisitions (a failed
+// TryLock before blocking) on its own cache line, which the acquiring
+// writer already owns, so the telemetry in Stats costs the write path
+// nothing measurable.
 //
 // # Observability
 //
@@ -233,9 +200,8 @@
 // misses, loads, evictions, expirations, cost, plus the underlying
 // MapStats) are one-call snapshots safe to poll from monitoring
 // loops. Stats carries the stripe telemetry (StripeAcquires,
-// StripeContended, StripeRetunes, EffectiveStripes) and the unzip
-// fan-out counters (UnzipParallelPasses, UnzipWorkers) alongside the
-// resize internals.
+// StripeContended, EffectiveStripes) and the migration backlog
+// (UnzipBacklog) alongside the resize internals.
 //
 // For latency distributions and lifecycle tracing, pass an Observer
 // (NewObserver) via WithObserver, WithMapObserver, or
@@ -244,7 +210,7 @@
 // cache loader latency (each Record is one atomic add, zero
 // allocations), and a fixed-size concurrent event ring captures every
 // resize's full lifecycle — publish, per-pass unzip batches, grace
-// waits, completion — plus stripe retunes, emitting runtime/trace
+// waits, completion — plus CAS-insert undos, emitting runtime/trace
 // regions when tracing is active. Snapshot folds it all into plain
 // values; Registry + Observe export everything as Prometheus text and
 // expvar-style JSON alongside net/http/pprof. A nil Observer (the

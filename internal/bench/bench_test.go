@@ -278,3 +278,38 @@ func TestRunFigureTTLCache(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterGenSkew pins the workload switch: WriteSkew > 1 selects
+// the Zipf stream (heavily repeated keys), otherwise uniform.
+func TestWriterGenSkew(t *testing.T) {
+	cfg := Config{KeySpace: 1 << 20, WriteSkew: 1.2}
+	cfg.fillDefaults()
+	gen := writerGen(cfg, 1)
+	hits := make(map[uint64]int)
+	for i := 0; i < 4096; i++ {
+		hits[gen.Key()]++
+	}
+	maxHits := 0
+	for _, n := range hits {
+		if n > maxHits {
+			maxHits = n
+		}
+	}
+	// Zipf over 2^20 keys concentrates mass: the hottest key shows up
+	// far more than uniform's expected ~1.
+	if maxHits < 16 {
+		t.Fatalf("skewed generator looks uniform: hottest key drawn %d times", maxHits)
+	}
+
+	cfg.WriteSkew = 0
+	gen = writerGen(cfg, 1)
+	hits = make(map[uint64]int)
+	for i := 0; i < 4096; i++ {
+		hits[gen.Key()]++
+	}
+	for _, n := range hits {
+		if n > 8 {
+			t.Fatalf("uniform generator drew one key %d times over a 2^20 space", n)
+		}
+	}
+}

@@ -187,35 +187,6 @@ func (e *rpCASWriteEngine) Delete(k uint64)     { e.t.Delete(k) }
 func (e *rpCASWriteEngine) Resize(n uint64)     { e.t.Resize(n) }
 func (e *rpCASWriteEngine) Close()              { e.t.Close() }
 
-// ---- RP adaptive (runtime-maintained stripes; internal/adapt) ----
-
-type rpAdaptEngine struct{ t *core.Table[uint64, int] }
-
-// NewRPAdaptive builds the relativistic table with adaptive
-// maintenance on and the stripe array deliberately started at 1: the
-// controller must discover the right stripe count from sampled
-// contention at runtime. The A6 ablation measures it against the
-// fixed-stripe sweep.
-func NewRPAdaptive(buckets uint64) Engine {
-	return &rpAdaptEngine{t: core.NewUint64[int](
-		core.WithInitialBuckets(buckets),
-		core.WithStripes(1),
-		core.WithAdapt(adaptBenchConfig()))}
-}
-
-func (e *rpAdaptEngine) Name() string { return "rp-adapt" }
-func (e *rpAdaptEngine) NewLookup() (Lookup, func()) {
-	h := e.t.NewReadHandle()
-	return func(k uint64) bool {
-		_, ok := h.Get(k)
-		return ok
-	}, h.Close
-}
-func (e *rpAdaptEngine) Set(k uint64, v int) { e.t.Set(k, v) }
-func (e *rpAdaptEngine) Delete(k uint64)     { e.t.Delete(k) }
-func (e *rpAdaptEngine) Resize(n uint64)     { e.t.Resize(n) }
-func (e *rpAdaptEngine) Close()              { e.t.Close() }
-
 // ---- RP sharded (internal/shard: write scaling over the RP core) ----
 
 type rpShardedEngine struct {
@@ -231,12 +202,9 @@ func NewRPSharded(buckets uint64) Engine {
 }
 
 // NewRPShardedN builds the sharded engine with an explicit shard
-// count (0 = auto). Adaptive maintenance is pinned OFF — figure
-// sweeps measure a fixed shape, and the CI regression gate compares
-// their points across runs; rp-adapt is the engine that runs the
-// controller on purpose.
+// count (0 = auto).
 func NewRPShardedN(shards int, buckets uint64) Engine {
-	opts := []shard.Option{shard.WithInitialBuckets(buckets), shard.WithAdapt(nil)}
+	opts := []shard.Option{shard.WithInitialBuckets(buckets)}
 	if shards > 0 {
 		opts = append(opts, shard.WithShards(shards))
 	}
@@ -248,8 +216,7 @@ func NewRPShardedN(shards int, buckets uint64) Engine {
 // whole shard.Map veneer are engine-agnostic — this engine exists to
 // prove it with numbers.
 func NewRPFlatSharded(buckets uint64) Engine {
-	opts := []shard.Option{shard.WithInitialBuckets(buckets), shard.WithAdapt(nil),
-		shard.WithEngine(core.EngineFlat)}
+	opts := []shard.Option{shard.WithInitialBuckets(buckets), shard.WithEngine(core.EngineFlat)}
 	if DefaultShards > 0 {
 		opts = append(opts, shard.WithShards(DefaultShards))
 	}
@@ -305,7 +272,6 @@ func NewRPCache(buckets uint64) Engine {
 	opts := []cache.Option{
 		cache.WithInitialBuckets(buckets),
 		cache.WithPolicy(core.Policy{}), // pinned size, like the other engines
-		cache.WithAdapt(nil),            // pinned shape too (see NewRPShardedN)
 		cache.WithSweepInterval(50 * time.Millisecond),
 	}
 	if DefaultShards > 0 {
@@ -489,7 +455,6 @@ var Builders = map[string]func(buckets uint64) Engine{
 	"rp-1lock":        NewRPSingleLock,
 	"rp-caswrite":     NewRPCASWrite,
 	"rp-lockedwrite":  NewRPLockedWrite,
-	"rp-adapt":        NewRPAdaptive,
 	"rp-sharded":      NewRPSharded,
 	"rp-cache":        NewRPCache,
 	"rpqsbr":          NewRPQSBR,

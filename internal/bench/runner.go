@@ -33,7 +33,7 @@ type Config struct {
 	Repeats int
 	// WriteSkew, when > 1, draws writer keys from a Zipf
 	// distribution with that exponent instead of uniformly — the
-	// hot-key workload the adaptive-stripes ablation (A6) contrasts
+	// hot-key workload the write fast-path ablation (A7) contrasts
 	// with uniform writes. Readers always draw uniformly.
 	WriteSkew float64
 }

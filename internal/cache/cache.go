@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rphash/internal/adapt"
 	"rphash/internal/clock"
 	"rphash/internal/core"
 	"rphash/internal/hashfn"
@@ -131,8 +130,6 @@ type config struct {
 	sweep     time.Duration
 	clk       *clock.Clock
 	sample    int
-	adapt     *adapt.Config
-	adaptSet  bool
 	obsv      *obs.Observer
 }
 
@@ -185,15 +182,6 @@ func WithClock(clk *clock.Clock) Option { return func(c *config) { c.clk = clk }
 // higher eviction cost).
 func WithSampleSize(n int) Option { return func(c *config) { c.sample = n } }
 
-// WithAdapt configures the underlying map's adaptive maintenance
-// controllers (see shard.WithAdapt): on by default with
-// adapt.DefaultConfig so the cache's writer stripes and resize
-// fan-out track live contention; WithAdapt(nil) pins maintenance off
-// for reproducible benchmarks.
-func WithAdapt(cfg *adapt.Config) Option {
-	return func(c *config) { c.adapt, c.adaptSet = cfg, true }
-}
-
 // WithObserver wires the cache into an observability hub (see
 // internal/obs): singleflight loader latency feeds o.CacheLoad, and
 // the underlying sharded map — stripe waits, resize lifecycle, RCU
@@ -228,9 +216,6 @@ func New[K comparable, V any](hash func(K) uint64, opts ...Option) *Cache[K, V] 
 	}
 	if cfg.policy != (core.Policy{}) {
 		mopts = append(mopts, shard.WithPolicy(cfg.policy))
-	}
-	if cfg.adaptSet {
-		mopts = append(mopts, shard.WithAdapt(cfg.adapt))
 	}
 	if cfg.obsv != nil {
 		mopts = append(mopts, shard.WithObserver(cfg.obsv))
@@ -396,7 +381,9 @@ func (c *Cache[K, V]) setAbs(h uint64, k K, v V, expireAt, cost int64) {
 // respect to every other writer on the key, which is what the
 // memcached-style conditional commands (add, cas, incr) need without
 // a store-wide mutex. fn runs with the stripe held: keep it fast,
-// never block, never touch the cache from inside it.
+// never block, never touch the cache from inside it. fn may run more
+// than once, and only the last run's result is stored (see
+// core.Table.Update).
 //
 // Accounting follows setAbs exactly: the cost delta is settled once
 // from the exact entry displaced, and the writer that pushes the

@@ -371,3 +371,31 @@ func TestUint64Cache(t *testing.T) {
 		t.Fatalf("Get = %d, %v", v, ok)
 	}
 }
+
+// TestSweeperExitsOnDomainClose: the background sweeper watches the
+// map's domain Done channel, so a cache whose domain shuts down
+// first releases its sweeper goroutine promptly instead of leaving
+// it to stall on synchronous post-Close grace periods. Close after
+// that must still return (sweepWG must not deadlock).
+func TestSweeperExitsOnDomainClose(t *testing.T) {
+	c := NewUint64[int](WithSweepInterval(time.Millisecond))
+	c.SetTTL(1, 1, time.Nanosecond)
+	time.Sleep(5 * time.Millisecond) // let the sweeper tick
+
+	// Close the shared domain out from under the sweeper; Done fires.
+	c.m.Domain().Close()
+
+	done := make(chan struct{})
+	go func() {
+		c.sweepWG.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("sweeper did not exit after the domain closed")
+	}
+	if c.ownClk {
+		c.clk.Stop()
+	}
+}

@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 
-	"rphash/internal/adapt"
 	"rphash/internal/shard"
 )
 
@@ -71,13 +70,6 @@ func (c *Cache[K, V]) Counters() Stats {
 		EvictScanned: c.evictScanned.Load(),
 		SweepScanned: c.sweepScanned.Load(),
 	}
-}
-
-// AdaptStats returns the underlying map's aggregated maintenance
-// controller snapshot; ok is false when adaptive maintenance is
-// disabled (WithAdapt(nil)). It is also carried by Stats().Map.Adapt.
-func (c *Cache[K, V]) AdaptStats() (adapt.Stats, bool) {
-	return c.m.AdaptStats()
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any lookups.

@@ -75,7 +75,7 @@ func (t *Table[K, V]) stripeOrder(hs []uint64) *batchScratch {
 		sc.ord = make([]uint64, len(hs))
 	}
 	ord := sc.ord[:len(hs)]
-	m := t.stripes.arr.Load().mask.Load()
+	m := t.stripes.mask.Load()
 	for i, h := range hs {
 		ord[i] = (h&m)<<32 | uint64(i)
 	}
@@ -96,9 +96,8 @@ type batchWriter[K comparable, V any] struct {
 }
 
 // acquire ensures the stripe covering h is held. While a stripe is
-// held, neither the mask nor the stripe array can move (both change
-// only under every stripe), so the cached mask stays valid until
-// release.
+// held the mask cannot move (it changes only under every stripe), so
+// the cached mask stays valid until release.
 func (w *batchWriter[K, V]) acquire(h uint64) {
 	if w.held != nil {
 		if h&w.mask == w.slot {
@@ -108,11 +107,10 @@ func (w *batchWriter[K, V]) acquire(h uint64) {
 		w.held = nil
 	}
 	for {
-		a := w.t.stripes.arr.Load()
-		m := a.mask.Load()
-		s := &a.locks[h&m]
+		m := w.t.stripes.mask.Load()
+		s := &w.t.stripes.locks[h&m]
 		s.lockContended(w.t.stripeWaitHist(), int(h&m))
-		if w.t.stripes.arr.Load() == a && a.mask.Load() == m {
+		if w.t.stripes.mask.Load() == m {
 			w.held, w.slot, w.mask = s, h&m, m
 			return
 		}
@@ -172,11 +170,14 @@ func (t *Table[K, V]) chainSetBatchHashed(hs []uint64, ks []K, vs []V) (inserted
 		// Copy before boxing either way: the box must not alias the
 		// caller's slice, which it may reuse after the call.
 		v := vs[i]
-		if n := t.findLocked(hs[i], ks[i]); n != nil {
+		n, head := t.findHeadLocked(hs[i], ks[i])
+		if n == nil {
+			n = t.insertLocked(hs[i], ks[i], &v, head)
+		}
+		if n != nil {
 			n.val.Store(&v)
 			continue
 		}
-		t.insertLocked(hs[i], ks[i], &v)
 		inserted++
 	}
 	w.release()

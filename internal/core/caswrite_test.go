@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,49 +11,36 @@ import (
 
 // Torture tests for the lock-free write fast path: CAS inserts, the
 // open-coded replace hint, and value-level compare-and-swap racing
-// resizes (whose unzip windows force the fallback and undo paths) and
-// stripe retunes (whose odd-epoch windows force the preamble
-// fallback). Run them under -race; they are also in the
-// -tags=invariants CI sweep via the Torture name prefix.
+// resizes (whose odd-epoch windows force the preamble fallback and
+// whose unzip windows force the fallback and undo paths). Run them
+// under -race; they are also in the -tags=invariants CI sweep via the
+// Torture name prefix.
 
-// churnMaintenance runs resize and stripe-retune churn until stop
-// closes, crossing unzip windows (ExpandOnce/ShrinkOnce) and stripe
-// swaps (SetStripes) so fast-path writers keep hitting epoch changes
-// mid-flight.
+// churnMaintenance runs resize churn until stop closes: two goroutines
+// call ExpandOnce/ShrinkOnce back to back, so one queues on resizeMu
+// while the other waits out its grace periods, and fast-path writers
+// keep hitting epoch changes and unzip windows mid-flight.
 func churnMaintenance(tbl *Table[uint64, int], stop chan struct{}, wg *sync.WaitGroup) {
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tbl.ExpandOnce()
+				tbl.ShrinkOnce()
 			}
-			tbl.ExpandOnce()
-			tbl.ShrinkOnce()
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		n := 4
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tbl.SetStripes(n)
-			if n = n * 4; n > 64 {
-				n = 4
-			}
-		}
-	}()
+		}()
+	}
 }
 
 // TestTortureCASInsertExactlyOneWinner races several goroutines
 // inserting the same fresh keys (each with a writer-unique value)
-// while resizes and retunes churn. Insert must admit exactly one
+// while resizes churn. Insert must admit exactly one
 // winner per key — a speculative node that is undone after losing its
 // epoch validation must not have reported success, and a key must
 // never be won twice — and the surviving value must be the recorded
@@ -111,7 +99,7 @@ func TestTortureCASInsertExactlyOneWinner(t *testing.T) {
 
 // TestTortureValueCASIncrementLedger drives the value plane: writers
 // increment a small set of counters purely through
-// CompareAndSwapValue while resizes and retunes churn. Every
+// CompareAndSwapValue while resizes churn. Every
 // successful swap transitions the value it matched to exactly
 // matched+1 (the value box pointer makes the CAS ABA-free), so each
 // final counter must equal the successes recorded against it — a lost
@@ -176,7 +164,7 @@ func TestTortureValueCASIncrementLedger(t *testing.T) {
 // TestTortureReplaceHintRacingDeleteResize exercises the open-coded
 // replace fast path (the unprotected hint walk revalidated under the
 // stripe) against everything that can kill a hint: deletes unlink the
-// hinted node mid-flight on the volatile range, and resizes/retunes
+// hinted node mid-flight on the volatile range, and resizes
 // move the epoch so hints go stale wholesale. Stable keys take
 // continuous Set/Swap traffic and must never be missed by concurrent
 // readers nor hold a foreign value; a disjoint absent range must stay
@@ -277,5 +265,96 @@ func TestTortureReplaceHintRacingDeleteResize(t *testing.T) {
 	}
 	if err := tbl.checkInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStripedInsertMeetsCASRival pins the window between a striped
+// insert's absence walk and its publish: testHookBeforePublish runs
+// one lock-free insert of the same key to completion right there. The
+// striped write must then treat the key as present — Set, Swap, Update
+// and SetBatch replace the rival's value, Insert is a no-op, Move
+// fails — and the table must hold exactly one node for the key.
+func TestStripedInsertMeetsCASRival(t *testing.T) {
+	const k, src, rival, mine = 7, 8, 100, 200
+	cases := []struct {
+		name  string
+		write func(t *testing.T, tbl *Table[uint64, int])
+		want  int // k's value afterwards
+	}{
+		{"Set", func(t *testing.T, tbl *Table[uint64, int]) {
+			if tbl.Set(k, mine) {
+				t.Error("Set reported an insert over the rival")
+			}
+		}, mine},
+		{"Swap", func(t *testing.T, tbl *Table[uint64, int]) {
+			if old, replaced := tbl.Swap(k, mine); !replaced || old != rival {
+				t.Errorf("Swap = %d,%v, want %d,true", old, replaced, rival)
+			}
+		}, mine},
+		{"Insert", func(t *testing.T, tbl *Table[uint64, int]) {
+			if tbl.Insert(k, mine) {
+				t.Error("Insert succeeded over the rival")
+			}
+		}, rival},
+		{"Update", func(t *testing.T, tbl *Table[uint64, int]) {
+			var seen []int
+			prev, hadPrev, stored := tbl.Update(k, func(cur int, present bool) (int, bool) {
+				seen = append(seen, cur)
+				return cur + mine, true
+			})
+			if prev != rival || !hadPrev || !stored {
+				t.Errorf("Update = %d,%v,%v, want %d,true,true", prev, hadPrev, stored, rival)
+			}
+			if !slices.Equal(seen, []int{0, rival}) {
+				t.Errorf("fn saw %v, want [0 %d]: it must rerun on the rival's value", seen, rival)
+			}
+		}, rival + mine},
+		{"SetBatch", func(t *testing.T, tbl *Table[uint64, int]) {
+			if n := tbl.SetBatch([]uint64{k}, []int{mine}); n != 0 {
+				t.Errorf("SetBatch inserted %d, want 0", n)
+			}
+		}, mine},
+		{"Move", func(t *testing.T, tbl *Table[uint64, int]) {
+			if tbl.Move(src, k) {
+				t.Error("Move onto the rival's key succeeded")
+			}
+			if v, ok := tbl.Get(src); !ok || v != mine {
+				t.Errorf("source after failed Move = %d,%v, want %d,true", v, ok, mine)
+			}
+		}, rival},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The striped path only: the write under test must reach its
+			// publish; tryInsertCAS itself ignores the option.
+			tbl := NewUint64[int](WithCASInsert(false))
+			defer tbl.Close()
+			tbl.Set(src, mine)
+			fired := false
+			tbl.testHookBeforePublish = func() {
+				if fired {
+					return
+				}
+				fired = true
+				v := rival
+				if got := tbl.tryInsertCAS(tbl.hash(k), k, &v); got != casInsertDone {
+					t.Fatalf("rival tryInsertCAS = %v, want casInsertDone", got)
+				}
+			}
+			tc.write(t, tbl)
+			tbl.testHookBeforePublish = nil
+			if !fired {
+				t.Fatal("the write never reached a striped publish")
+			}
+			if v, ok := tbl.Get(k); !ok || v != tc.want {
+				t.Errorf("Get(%d) = %d,%v, want %d,true", k, v, ok, tc.want)
+			}
+			if n := tbl.Len(); n != 2 {
+				t.Errorf("Len = %d, want 2", n)
+			}
+			if err := tbl.checkInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

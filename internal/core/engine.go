@@ -4,7 +4,7 @@ package core
 // behind this internal interface so alternative layouts can be built
 // without touching the shared machinery — the RCU domain, the writer
 // stripes, the resize serializer and epoch seqlock, the auto-resize
-// policy, the adapt controller, observability, and the batch
+// policy, observability, and the batch
 // stripe-sort workspace all live on Table and are engine-agnostic.
 //
 // Two engines exist:
@@ -34,8 +34,8 @@ package core
 //   - expandStep/shrinkStep are called with t.resizeMu held and
 //     perform one factor-of-two step including all grace periods;
 //     shrinkStep must refuse below t.policy.MinBuckets.
-//   - bucketCount is the published bucket count (the policy layer and
-//     the stripe retune size the effective stripe mask from it);
+//   - bucketCount is the published bucket count (the policy layer
+//     sizes resizes from it);
 //     migrationFloor is 0 when no migration is in flight, else the
 //     bucket granularity writers' stripes must not exceed (the chain
 //     engine's unzip parent count; the flat engine's migration unit

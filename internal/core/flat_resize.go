@@ -25,8 +25,7 @@ package core
 //     what makes the unmigrated-unit read path safe.
 //  3. "Migrate": one pass over the units, batched by stripe exactly
 //     like unzip passes (one stripe lock per batch, writers on other
-//     stripes undisturbed), fanned out across the table's unzip
-//     workers. Each unit copy re-publishes its elements into the new
+//     stripes undisturbed). Each unit copy re-publishes its elements into the new
 //     groups — key and current value copied into fresh cells, the
 //     value inline — then sets the unit's migrated flag (release).
 //     Units already migrated by writers are skipped.
@@ -62,8 +61,6 @@ package core
 
 import (
 	"runtime/trace"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rphash/internal/obs"
@@ -82,12 +79,11 @@ func (e *flatEngine[K, V]) migrateStep(grow bool) {
 	defer t.migrateStartNS.Store(0)
 	ctx, endTask := resizeTraceTask("rphash.flatmigrate")
 	defer endTask()
-	sa := t.stripes.arr.Load() // stable: retunes serialize on resizeMu
-	t.lockAll(sa)
+	t.lockAll()
 	old := e.view.Load()
 	oldSize := old.mask + 1
 	if !grow && (oldSize <= t.policy.MinBuckets || oldSize == 1) {
-		t.unlockAll(sa)
+		t.unlockAll()
 		return
 	}
 	// Odd before the new view publishes: checkStripeInvariants and the
@@ -105,10 +101,10 @@ func (e *flatEngine[K, V]) migrateStep(grow bool) {
 	}
 	nv := newFlatView[K, V](newSize, old)
 	units := nv.unitMask + 1
-	sa.mask.Store(effectiveStripeMask(len(sa.locks), units))
+	t.stripes.mask.Store(effectiveStripeMask(len(t.stripes.locks), units))
 	e.view.Store(nv) // step 1: publish
 	t.resizeEpoch.Add(1)
-	t.unlockAll(sa)
+	t.unlockAll()
 	if grow {
 		t.obsEvent(obs.EvExpandPublish, int64(units), 0, 0)
 	}
@@ -121,46 +117,16 @@ func (e *flatEngine[K, V]) migrateStep(grow bool) {
 	// — locking s freezes those units entirely (writers, including
 	// migrate-on-write, take the same stripe).
 	t.unzipBacklog.Store(int64(units))
-	stripeMask := sa.mask.Load() // frozen: only resizes change it, and we hold resizeMu
-	stripes := stripeMask + 1
-	workers := int(t.unzipWorkers.Load())
-	if workers < 1 {
-		workers = 1
-	}
-	if uint64(workers) > stripes {
-		workers = int(stripes)
-	}
+	stripeMask := t.stripes.mask.Load() // frozen: only resizes change it, and we hold resizeMu
 	passRegion := trace.StartRegion(ctx, "migrate-pass")
 	var copied int64
-	if workers > 1 {
-		t.stats.unzipParallelPasses.Add(1)
-		var done atomic.Int64
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := uint64(next.Add(1)) - 1
-					if s >= stripes {
-						return
-					}
-					done.Add(int64(e.migrateStripe(nv, sa, s, stripeMask)))
-				}
-			}()
-		}
-		wg.Wait()
-		copied = done.Load()
-	} else {
-		for s := uint64(0); s < stripes; s++ {
-			copied += int64(e.migrateStripe(nv, sa, s, stripeMask))
-		}
+	for s := uint64(0); s <= stripeMask; s++ {
+		copied += int64(e.migrateStripe(nv, s, stripeMask))
 	}
 	t.unzipBacklog.Store(0)
 	// One "pass" in the chain engine's vocabulary: the whole table
 	// migrated under a single shared grace period.
-	t.obsEvent(obs.EvUnzipPass, 1, copied, int64(workers))
+	t.obsEvent(obs.EvUnzipPass, 1, copied, 0)
 	t.stats.unzipPasses.Add(1)
 	t.syncResize() // step 4: no reader can hold an old group
 	passRegion.End()
@@ -169,12 +135,12 @@ func (e *flatEngine[K, V]) migrateStep(grow bool) {
 	// flags) over the same groups makes the read path's fast branch
 	// unconditional again, and the stripe mask rises (grow) or is
 	// already at (shrink) the new bucket count.
-	t.lockAll(sa)
+	t.lockAll()
 	t.resizeEpoch.Add(1)
 	e.view.Store(&flatView[K, V]{mask: nv.mask, groups: nv.groups})
-	sa.mask.Store(effectiveStripeMask(len(sa.locks), newSize))
+	t.stripes.mask.Store(effectiveStripeMask(len(t.stripes.locks), newSize))
 	t.resizeEpoch.Add(1)
-	t.unlockAll(sa)
+	t.unlockAll()
 	if grow {
 		t.stats.expands.Add(1)
 		t.obsEvent(obs.EvExpandDone, 1, time.Since(start).Nanoseconds(), 0)
@@ -190,8 +156,8 @@ func (e *flatEngine[K, V]) migrateStep(grow bool) {
 // this call migrated (units already migrated by writers are skipped;
 // they were counted by nobody — the backlog gauge is approximate by
 // design, like the chain engine's).
-func (e *flatEngine[K, V]) migrateStripe(v *flatView[K, V], sa *stripeArray, s, stripeMask uint64) int {
-	lock := &sa.locks[s]
+func (e *flatEngine[K, V]) migrateStripe(v *flatView[K, V], s, stripeMask uint64) int {
+	lock := &e.t.stripes.locks[s]
 	lock.mu.Lock()
 	units := v.unitMask + 1
 	migrated := 0

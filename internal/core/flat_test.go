@@ -318,7 +318,9 @@ func waitFor(t *testing.T, cond func() bool) {
 // churn a disjoint key range, a replacer rewrites the stable keys with
 // their own values, an insert gauntlet proves exactly-one
 // winner per contended key, and the table is simultaneously driven
-// through copy-based resize toggling and stripe retune churn.
+// through copy-based resize toggling, with a second resizer running
+// ExpandOnce/ShrinkOnce back to back so the stripe mask and the epoch
+// keep moving.
 func TestFlatEngineTortureResizeStripeChurn(t *testing.T) {
 	tbl := newFlatT(t, WithInitialBuckets(64), WithPolicy(Policy{MinBuckets: 64}))
 	const (
@@ -461,20 +463,18 @@ func TestFlatEngineTortureResizeStripeChurn(t *testing.T) {
 		}(g)
 	}
 
-	// Stripe retune churn.
+	// Back-to-back single steps, queueing behind the toggles below.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sizes := []int{1, 4, 16, 64}
-		i := 0
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			tbl.TrySetStripes(sizes[i%len(sizes)])
-			i++
+			tbl.ExpandOnce()
+			tbl.ShrinkOnce()
 		}
 	}()
 

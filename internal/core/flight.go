@@ -51,7 +51,7 @@ func (t *Table[K, V]) opRecord(p opProbe, h uint64, class obs.OpClass, path obs.
 		return
 	}
 	lat := time.Since(p.t0).Nanoseconds()
-	stripe := int(h & t.stripes.arr.Load().mask.Load())
+	stripe := int(h & t.stripes.mask.Load())
 	p.rec.Record(h, class, path, out, t.eng.name() == EngineFlat, t.obsShard, stripe, lat)
 }
 

@@ -172,13 +172,12 @@ func (t *Table[K, V]) assertInvariantsLive() {
 // checkStripeInvariants validates invariant 5 in isolation (it needs
 // no read-side section — every field is a single atomic load). The
 // checks are meaningful at any instant, including mid-unzip via
-// testHookAfterUnzipPass and immediately after a SetStripes retune:
-// these are exactly the bounds that keep every chain covered by one
-// stripe.
+// testHookAfterUnzipPass: these are exactly the bounds that keep every
+// chain covered by one stripe.
 //
-// Snapshot consistency for a checker racing background maintenance:
-// every mutation of the stripe array, the effective mask, the bucket
-// storage, or the migration floor happens inside an all-stripes
+// Snapshot consistency for a checker racing a resize: every mutation
+// of the effective mask, the bucket storage, or the migration floor
+// happens inside an all-stripes
 // critical section, and every such section brackets itself with the
 // resizeEpoch seqlock (odd on entry, even on exit). So the whole
 // read is retried until the epoch is even and unchanged across it —
@@ -191,9 +190,8 @@ func (t *Table[K, V]) checkStripeInvariants() error {
 			runtime.Gosched() // all-stripes section in progress; its window is microseconds
 			continue
 		}
-		a := t.stripes.arr.Load()
-		eff := a.mask.Load() + 1
-		phys := uint64(len(a.locks))
+		eff := t.stripes.mask.Load() + 1
+		phys := uint64(len(t.stripes.locks))
 		buckets := t.eng.bucketCount()
 		floor := t.eng.migrationFloor()
 		if t.resizeEpoch.Load() != e1 {

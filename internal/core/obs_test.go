@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -155,33 +156,43 @@ func TestStripeWaitRecorded(t *testing.T) {
 	}
 }
 
-// TestRetuneAndWorkerEvents asserts stripe retunes and unzip fan-out
-// changes land in the ring.
-func TestRetuneAndWorkerEvents(t *testing.T) {
+// TestFlatResizeEvents asserts the flat engine's copy-based resize
+// records the same lifecycle as the chain engine's: one migration pass
+// per step, each between its two grace periods, carrying the number of
+// units it copied.
+func TestFlatResizeEvents(t *testing.T) {
 	o := obs.NewObserver()
-	tb := NewUint64[uint64](WithObserver(o), WithInitialBuckets(64), WithStripes(4))
+	tb := NewUint64[uint64](WithEngine(EngineFlat), WithObserver(o), WithInitialBuckets(64), WithStripes(4))
 	defer tb.Close()
-	if !tb.SetStripes(8) {
-		t.Fatal("SetStripes(8) reported no change")
+	for k := uint64(0); k < 256; k++ {
+		tb.Set(k, k)
 	}
-	tb.SetUnzipWorkers(4)
-	var sawRetune, sawWorkers bool
+	tb.ExpandOnce()
+	tb.ShrinkOnce()
+
+	var types []obs.EventType
+	var copied []int64
 	for _, e := range o.Events.Snapshot() {
-		switch e.Type {
-		case obs.EvStripeRetune:
-			if e.A != 4 || e.B != 8 {
-				t.Fatalf("retune payload: %+v", e)
+		types = append(types, e.Type)
+		if e.Type == obs.EvUnzipPass {
+			if e.A != 1 {
+				t.Fatalf("flat migration pass numbered %d, want 1", e.A)
 			}
-			sawRetune = true
-		case obs.EvUnzipWorkers:
-			if e.A != 1 || e.B != 4 {
-				t.Fatalf("unzip workers payload: %+v", e)
-			}
-			sawWorkers = true
+			copied = append(copied, e.B)
 		}
 	}
-	if !sawRetune || !sawWorkers {
-		t.Fatalf("missing events: retune=%v workers=%v", sawRetune, sawWorkers)
+	want := []obs.EventType{
+		obs.EvExpandStart, obs.EvExpandPublish, obs.EvGraceWait, obs.EvUnzipPass, obs.EvGraceWait, obs.EvExpandDone,
+		obs.EvShrinkStart, obs.EvGraceWait, obs.EvUnzipPass, obs.EvGraceWait, obs.EvShrinkDone,
+	}
+	if !slices.Equal(types, want) {
+		t.Fatalf("event stream %v, want %v", types, want)
+	}
+	// No writer runs, so the resizer copies every unit itself: all 64
+	// groups when doubling to 128, and 64 units (each merging two
+	// groups) when halving back.
+	if copied[0] != 64 || copied[1] != 64 {
+		t.Fatalf("units copied per pass = %v, want [64 64]", copied)
 	}
 }
 

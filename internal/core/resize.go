@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/trace"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rphash/internal/hashfn"
@@ -94,12 +92,11 @@ func resizeTraceTask(name string) (context.Context, func()) {
 // sibling buckets and is only stripe-homogeneous under the new,
 // smaller mask. The grace period waits with no stripes held.
 func (t *Table[K, V]) chainShrinkStep() {
-	sa := t.stripes.arr.Load() // stable: retunes serialize on resizeMu
-	t.lockAll(sa)
+	t.lockAll()
 	old := t.ht.Load()
 	oldSize := old.size()
 	if oldSize <= t.policy.MinBuckets || oldSize == 1 {
-		t.unlockAll(sa)
+		t.unlockAll()
 		return
 	}
 	// Odd before the first chain-head read: a CAS-path insert that
@@ -133,10 +130,10 @@ func (t *Table[K, V]) chainShrinkStep() {
 		tail.next.Store(high) // link: old-array readers see a superset
 	}
 
-	sa.mask.Store(effectiveStripeMask(len(sa.locks), newSize))
+	t.stripes.mask.Store(effectiveStripeMask(len(t.stripes.locks), newSize))
 	t.ht.Store(nb) // publish
 	t.resizeEpoch.Add(1)
-	t.unlockAll(sa)
+	t.unlockAll()
 	t.syncResize() // wait for readers; old array now unreachable
 	t.stats.shrinks.Add(1)
 	t.obsEvent(obs.EvShrinkDone, time.Since(start).Nanoseconds(), 0, 0)
@@ -169,22 +166,13 @@ func (t *Table[K, V]) chainShrinkStep() {
 // stripes undisturbed; grace periods between passes hold no stripes
 // at all. A final all-stripes section clears unzipParent and raises
 // the mask to the doubled bucket count.
-//
-// Migration batches on different stripes are independent — each
-// touches only chains its own stripe covers — so when the unzip
-// fan-out (SetUnzipWorkers, driven by the adapt controller from the
-// observed backlog) is above one, each pass distributes its stripe
-// batches across that many goroutines. All workers of a pass share
-// the single grace period that follows it; the grace-period count
-// and the cut schedule are exactly the sequential ones.
 func (t *Table[K, V]) chainExpandStep() {
 	start := time.Now()
 	t.migrateStartNS.Store(start.UnixNano())
 	defer t.migrateStartNS.Store(0)
 	ctx, endTask := resizeTraceTask("rphash.expand")
 	defer endTask()
-	sa := t.stripes.arr.Load() // stable: retunes serialize on resizeMu
-	t.lockAll(sa)
+	t.lockAll()
 	// Odd before the child-head capture walks: any CAS-path insert
 	// publishing after this point re-validates and recovers instead of
 	// trusting a head the capture may have read too early.
@@ -220,7 +208,7 @@ func (t *Table[K, V]) chainExpandStep() {
 	// the list is filtered monotonically: pass N skips every parent
 	// pass N-1 finished, and the per-pass lock traffic shrinks with
 	// the remaining work instead of re-sweeping every stripe.
-	stripeMask := sa.mask.Load() // frozen: only resizes change it, and we hold resizeMu
+	stripeMask := t.stripes.mask.Load() // frozen: only resizes change it, and we hold resizeMu
 	active := make([]uint64, 0, oldSize)
 	for s := uint64(0); s <= stripeMask; s++ {
 		for i := s; i < oldSize; i += stripeMask + 1 {
@@ -238,7 +226,7 @@ func (t *Table[K, V]) chainExpandStep() {
 	t.unzipParent.Store(oldSize)
 	t.ht.Store(nb)
 	t.resizeEpoch.Add(1)
-	t.unlockAll(sa)
+	t.unlockAll()
 	t.obsEvent(obs.EvExpandPublish, int64(len(active)), 0, 0)
 	publishRegion := trace.StartRegion(ctx, "publish-grace")
 	t.syncResize()
@@ -255,22 +243,14 @@ func (t *Table[K, V]) chainExpandStep() {
 	passes := 0
 	for pass := 1; len(active) > 0; pass++ {
 		t.unzipBacklog.Store(int64(len(active)))
-		workers := int(t.unzipWorkers.Load())
-		if workers < 1 || t.unzipPerCutGrace {
-			workers = 1 // per-cut grace is strictly sequential by design
-		}
 		passRegion := trace.StartRegion(ctx, "unzip-pass")
 		var cuts int
-		if workers > 1 {
-			cuts, active = t.unzipPassParallel(sa, nb, active, oldSize, stripeMask, workers)
-		} else {
-			cuts, active = t.unzipPassSequential(sa, nb, active, oldSize, stripeMask)
-		}
+		cuts, active = t.unzipPass(nb, active, oldSize, stripeMask)
 		if cuts == 0 {
 			passRegion.End()
 			break
 		}
-		t.obsEvent(obs.EvUnzipPass, int64(pass), int64(cuts), int64(workers))
+		t.obsEvent(obs.EvUnzipPass, int64(pass), int64(cuts), 0)
 		if !t.unzipPerCutGrace {
 			t.syncResize()
 		}
@@ -288,21 +268,21 @@ func (t *Table[K, V]) chainExpandStep() {
 	// only a resize can). Leave zipped-chain mode and raise the
 	// stripe mask to the new bucket count, under all stripes so no
 	// writer holds a stripe chosen under the old mask.
-	t.lockAll(sa)
+	t.lockAll()
 	t.resizeEpoch.Add(1) // odd: window close in progress
 	t.unzipParent.Store(0)
-	sa.mask.Store(effectiveStripeMask(len(sa.locks), newSize))
+	t.stripes.mask.Store(effectiveStripeMask(len(t.stripes.locks), newSize))
 	t.resizeEpoch.Add(1)
-	t.unlockAll(sa)
+	t.unlockAll()
 	t.stats.expands.Add(1)
 	t.obsEvent(obs.EvExpandDone, int64(passes), time.Since(start).Nanoseconds(), 0)
 	t.assertInvariantsLive()
 }
 
-// unzipPassSequential makes one cut per active parent, holding one
-// stripe at a time (parents arrive grouped by stripe). It returns the
-// cut count and the parents still zipped, reusing active's storage.
-func (t *Table[K, V]) unzipPassSequential(sa *stripeArray, nb *buckets[K, V], active []uint64, oldSize, stripeMask uint64) (int, []uint64) {
+// unzipPass makes one cut per active parent, holding one stripe at a
+// time (parents arrive grouped by stripe). It returns the cut count
+// and the parents still zipped, reusing active's storage.
+func (t *Table[K, V]) unzipPass(nb *buckets[K, V], active []uint64, oldSize, stripeMask uint64) (int, []uint64) {
 	cuts := 0
 	kept := active[:0]
 	var held *stripeLock
@@ -312,7 +292,7 @@ func (t *Table[K, V]) unzipPassSequential(sa *stripeArray, nb *buckets[K, V], ac
 			if held != nil {
 				held.mu.Unlock()
 			}
-			held = &sa.locks[s]
+			held = &t.stripes.locks[s]
 			held.mu.Lock()
 			heldIdx = s
 		}
@@ -334,114 +314,8 @@ func (t *Table[K, V]) unzipPassSequential(sa *stripeArray, nb *buckets[K, V], ac
 	return cuts, kept
 }
 
-// unzipPassParallel distributes one pass's migration batches across
-// `workers` goroutines. A batch is all the active parents mapped to
-// one stripe; batches are independent (each worker locks its batch's
-// stripe, so it owns every chain the batch's cuts touch, and cuts on
-// different stripes touch disjoint chains), which is what makes the
-// fan-out safe without any new synchronization. Workers claim batches
-// from a shared cursor; the caller runs the pass's single shared
-// grace period after all workers drain. Surviving parents are
-// reassembled batch-by-batch so the next pass still sees them grouped
-// by stripe.
-func (t *Table[K, V]) unzipPassParallel(sa *stripeArray, nb *buckets[K, V], active []uint64, oldSize, stripeMask uint64, workers int) (int, []uint64) {
-	// Slice the stripe-ordered parent list into per-stripe batches.
-	var batches [][2]int
-	for start := 0; start < len(active); {
-		end := start + 1
-		for end < len(active) && active[end]&stripeMask == active[start]&stripeMask {
-			end++
-		}
-		batches = append(batches, [2]int{start, end})
-		start = end
-	}
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	if workers > 1 {
-		// Counted before the fan-out (not after) so the stat means
-		// what it says: this pass's batches ran on >1 worker. Tail
-		// passes whose survivors collapse onto one stripe run on one
-		// goroutine and are not parallel passes.
-		t.stats.unzipParallelPasses.Add(1)
-	}
-
-	keptPer := make([][]uint64, len(batches))
-	var cuts atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= len(batches) {
-					return
-				}
-				lo, hi := batches[b][0], batches[b][1]
-				s := &sa.locks[active[lo]&stripeMask]
-				s.mu.Lock()
-				var kept []uint64
-				c := 0
-				for _, parent := range active[lo:hi] {
-					if n := t.unzipStep(nb, parent, oldSize); n > 0 {
-						c += n
-						kept = append(kept, parent)
-					}
-				}
-				s.mu.Unlock()
-				if c > 0 {
-					cuts.Add(int64(c))
-					keptPer[b] = kept
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	kept := active[:0]
-	for _, ks := range keptPer {
-		kept = append(kept, ks...)
-	}
-	return int(cuts.Load()), kept
-}
-
-// maxUnzipWorkers bounds the migration fan-out; past a handful of
-// goroutines the grace-period wait dominates the pass anyway.
-const maxUnzipWorkers = 64
-
-// SetUnzipWorkers sets the migration fan-out for expansion unzip
-// passes (clamped to [1, 64]; 1 = the sequential resizer). Each pass
-// re-reads it, so a controller can widen an in-flight resize as
-// backlog accumulates. The per-cut-grace ablation mode ignores it.
-func (t *Table[K, V]) SetUnzipWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxUnzipWorkers {
-		n = maxUnzipWorkers
-	}
-	old := t.unzipWorkers.Swap(int32(n))
-	if old < 1 {
-		old = 1
-	}
-	if int32(n) != old {
-		t.obsEvent(obs.EvUnzipWorkers, int64(old), int64(n), 0)
-	}
-}
-
-// UnzipWorkers returns the current migration fan-out setting.
-func (t *Table[K, V]) UnzipWorkers() int {
-	if n := int(t.unzipWorkers.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
-
 // UnzipBacklog reports how many parent chains the in-flight
-// expansion still has to unzip (0 when no unzip is running). The
-// adapt controller reads it to size the migration fan-out.
+// expansion still has to unzip (0 when no unzip is running).
 func (t *Table[K, V]) UnzipBacklog() int { return int(t.unzipBacklog.Load()) }
 
 // unzipStep performs at most one unzip cut for the chain pair that

@@ -31,20 +31,6 @@ type tableStats struct {
 	autoGrows   atomic.Uint64
 	autoShrinks atomic.Uint64
 
-	// retunes counts stripe-array swaps (SetStripes). The two base
-	// counters carry retired stripe arrays' contention telemetry
-	// forward across swaps; retuneSeq is the seqlock bracketing each
-	// fold+publish (odd = swap in progress) so ContentionCounters
-	// never pairs a folded base with the retiring array.
-	retunes             atomic.Uint64
-	retuneSeq           atomic.Uint64
-	stripeAcquiresBase  atomic.Uint64
-	stripeContendedBase atomic.Uint64
-
-	// unzipParallelPasses counts unzip passes whose migration batches
-	// ran on more than one worker.
-	unzipParallelPasses atomic.Uint64
-
 	// CAS write fast-path telemetry (update.go; inserts committed
 	// lock-free are writeCounters.casFastInserts). casFallbacks counts
 	// fast-path attempts that declined to the striped slow path (epoch
@@ -72,11 +58,9 @@ type Stats struct {
 	EffectiveStripes int
 	// StripeAcquires / StripeContended are the cumulative writer
 	// stripe-lock telemetry (total acquisitions; those that had to
-	// block) the adapt controller samples. StripeRetunes counts
-	// runtime swaps of the physical stripe array.
+	// block).
 	StripeAcquires  uint64
 	StripeContended uint64
-	StripeRetunes   uint64
 	LoadFactor      float64
 	MaxChain        int
 	Inserts         uint64
@@ -86,13 +70,8 @@ type Stats struct {
 	Shrinks         uint64
 	UnzipPasses     uint64 // grace-period-separated passes across all expands
 	UnzipCuts       uint64 // individual pointer cuts across all expands
-	// UnzipParallelPasses is how many of those passes fanned their
-	// migration batches across multiple workers. UnzipWorkers is the
-	// current fan-out setting (max over shards when aggregated).
-	UnzipParallelPasses uint64
-	UnzipWorkers        int
-	AutoGrows           uint64
-	AutoShrinks         uint64
+	AutoGrows       uint64
+	AutoShrinks     uint64
 	// CASFastInserts / CASFallbacks / CASUndos are the lock-free
 	// insert fast path's hit, decline, and rollback counters;
 	// ValueCASSwaps counts successful lock-free value publishes. See
@@ -251,28 +230,25 @@ func (t *Table[K, V]) chainMaxProbe() int {
 func (t *Table[K, V]) CounterStats() Stats {
 	acq, con := t.ContentionCounters()
 	s := Stats{
-		Len:                 t.Len(),
-		Buckets:             t.Buckets(),
-		Stripes:             t.Stripes(),
-		EffectiveStripes:    t.EffectiveStripes(),
-		StripeAcquires:      acq,
-		StripeContended:     con,
-		StripeRetunes:       t.stats.retunes.Load(),
-		Deletes:             t.wc.deletes.Load(),
-		Moves:               t.stats.moves.Load(),
-		Expands:             t.stats.expands.Load(),
-		Shrinks:             t.stats.shrinks.Load(),
-		UnzipPasses:         t.stats.unzipPasses.Load(),
-		UnzipCuts:           t.stats.unzipCuts.Load(),
-		UnzipParallelPasses: t.stats.unzipParallelPasses.Load(),
-		UnzipWorkers:        t.UnzipWorkers(),
-		AutoGrows:           t.stats.autoGrows.Load(),
-		AutoShrinks:         t.stats.autoShrinks.Load(),
-		CASFastInserts:      t.wc.casFastInserts.Load(),
-		CASFallbacks:        t.stats.casFallbacks.Load(),
-		CASUndos:            t.stats.casUndos.Load(),
-		ValueCASSwaps:       t.stats.valueCASSwaps.Load(),
-		UnzipBacklog:        t.unzipBacklog.Load(),
+		Len:              t.Len(),
+		Buckets:          t.Buckets(),
+		Stripes:          t.Stripes(),
+		EffectiveStripes: t.EffectiveStripes(),
+		StripeAcquires:   acq,
+		StripeContended:  con,
+		Deletes:          t.wc.deletes.Load(),
+		Moves:            t.stats.moves.Load(),
+		Expands:          t.stats.expands.Load(),
+		Shrinks:          t.stats.shrinks.Load(),
+		UnzipPasses:      t.stats.unzipPasses.Load(),
+		UnzipCuts:        t.stats.unzipCuts.Load(),
+		AutoGrows:        t.stats.autoGrows.Load(),
+		AutoShrinks:      t.stats.autoShrinks.Load(),
+		CASFastInserts:   t.wc.casFastInserts.Load(),
+		CASFallbacks:     t.stats.casFallbacks.Load(),
+		CASUndos:         t.stats.casUndos.Load(),
+		ValueCASSwaps:    t.stats.valueCASSwaps.Load(),
+		UnzipBacklog:     t.unzipBacklog.Load(),
 	}
 	s.Inserts = t.wc.inserts.Load() + s.CASFastInserts
 	in := t.eng.introspect()

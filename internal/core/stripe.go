@@ -35,34 +35,25 @@ import (
 //   - Move holds two, acquired in ascending index order.
 //   - Batch writers hold one at a time, visiting stripes in
 //     ascending (sorted) order.
-//   - Resize and stripe retunes acquire ALL physical stripes in
-//     ascending order for their brief array-swap phases; resize
-//     additionally takes exactly one stripe per migration batch
+//   - Resize acquires ALL stripes in ascending order for its brief
+//     array-swap phases, and exactly one stripe per migration batch
 //     during the long unzip phase.
 //
-// The physical lock array itself is swappable at runtime (SetStripes,
-// driven by internal/adapt) the same way the bucket array is: a new
-// array is built, published with one atomic pointer store while every
-// OLD stripe is held, and the old array is simply garbage afterwards.
-// Both the array pointer and the effective mask change only while
-// every stripe of the current array is held (resize boundaries and
-// retunes, all serialized on resizeMu). A writer therefore locks
-// optimistically — load array, read its mask, lock the stripe,
-// re-check both — and a failed re-check means a resize boundary or a
-// retune crossed between the loads, in which case it retries against
-// the new state. While a writer holds any stripe of the current
-// array, the array pointer, the mask, and the bucket-array pointer
-// are all frozen.
+// The lock array is built with the table and never replaced; only the
+// effective mask moves, and only at resize boundaries, while every
+// stripe is held (all serialized on resizeMu). A writer therefore
+// locks optimistically — read the mask, lock the stripe, re-check the
+// mask — and a failed re-check means a resize boundary crossed between
+// the load and the lock, in which case it retries under the new mask.
+// While a writer holds any stripe, the mask and the bucket-array
+// pointer are frozen.
 //
 // Each stripe also carries two padded telemetry counters — total
 // acquisitions and contended acquisitions (a failed TryLock before
-// blocking) — the per-stripe contention signal the adapt controller
-// samples to decide when the array should grow or shrink. The
+// blocking) — the per-stripe contention signal Stats reports. The
 // counters live on the stripe's own cache line, which the acquiring
 // writer owns anyway, so maintaining them costs no extra coherence
-// traffic. They are telemetry, not accounting: a retune folds the
-// old array's sums into a table-level base while stragglers may
-// still be ticking, so totals can be off by a handful of events.
+// traffic.
 
 // maxStripes caps the physical stripe count: past a few per core,
 // more stripes only add memory (64 B each) without reducing
@@ -106,22 +97,13 @@ func (s *stripeLock) lockContended(hist *obs.Histogram, hint int) {
 	s.acquires.Add(1)
 }
 
-// stripeArray is one immutable-size writer-lock array plus the
-// effective mask. The table swaps whole arrays on retune, exactly
-// like bucket arrays on resize; the mask travels with the array so a
-// writer that loads an array can never observe a mask that indexes
-// out of it.
-type stripeArray struct {
+// stripeSet is a table's writer-lock array plus the effective mask.
+type stripeSet struct {
 	locks []stripeLock
 	// mask is the effective stripe mask: min(len(locks), buckets)-1,
 	// except mid-unzip where it stays at parent-bucket granularity.
-	// Mutated only with every stripe of THIS array held.
+	// Mutated only with every stripe held.
 	mask atomic.Uint64
-}
-
-// stripeSet is a table's current writer-lock array.
-type stripeSet struct {
-	arr atomic.Pointer[stripeArray]
 }
 
 // defaultStripeCount sizes the physical stripe array: a few stripes
@@ -142,8 +124,7 @@ func defaultStripeCount() uint64 {
 }
 
 // clampStripes rounds a requested physical stripe count to a power of
-// two in [1, maxStripes] — the one normalization shared by the
-// WithStripes option and the runtime SetStripes retune.
+// two in [1, maxStripes] (the WithStripes option's normalization).
 func clampStripes(n int) uint64 {
 	if n < 1 {
 		n = 1
@@ -166,34 +147,26 @@ func effectiveStripeMask(physical int, buckets uint64) uint64 {
 	return n - 1
 }
 
-// newStripeArray builds a lock array of `physical` stripes with the
-// effective mask for `buckets`.
-func newStripeArray(physical uint64, buckets uint64) *stripeArray {
-	a := &stripeArray{locks: make([]stripeLock, physical)}
-	a.mask.Store(effectiveStripeMask(len(a.locks), buckets))
-	return a
-}
-
-// init installs the initial lock array.
+// init builds the lock array: `physical` stripes with the effective
+// mask for `buckets`.
 func (s *stripeSet) init(physical uint64, buckets uint64) {
-	s.arr.Store(newStripeArray(physical, buckets))
+	s.locks = make([]stripeLock, physical)
+	s.mask.Store(effectiveStripeMask(len(s.locks), buckets))
 }
 
 // lockHash acquires the stripe covering hash h and returns it. The
-// caller unlocks it. On return the table's bucket array, stripe
-// array, and stripe mask are frozen until the stripe is released.
+// caller unlocks it. On return the table's bucket array and stripe
+// mask are frozen until the stripe is released.
 func (t *Table[K, V]) lockHash(h uint64) *stripeLock {
 	for {
-		a := t.stripes.arr.Load()
-		m := a.mask.Load()
-		s := &a.locks[h&m]
+		m := t.stripes.mask.Load()
+		s := &t.stripes.locks[h&m]
 		s.lockContended(t.stripeWaitHist(), int(h&m))
-		if t.stripes.arr.Load() == a && a.mask.Load() == m {
+		if t.stripes.mask.Load() == m {
 			return s
 		}
-		// A resize boundary or stripe retune crossed between the
-		// loads and the lock: the stripe we hold may no longer cover
-		// h (or may belong to a retired array). Retry.
+		// A resize boundary crossed between the load and the lock: the
+		// stripe we hold may no longer cover h. Retry.
 		s.mu.Unlock()
 	}
 }
@@ -203,13 +176,12 @@ func (t *Table[K, V]) lockHash(h uint64) *stripeLock {
 // covers both.
 func (t *Table[K, V]) lockHash2(h1, h2 uint64) (a, b *stripeLock) {
 	for {
-		arr := t.stripes.arr.Load()
-		m := arr.mask.Load()
+		m := t.stripes.mask.Load()
 		i1, i2 := h1&m, h2&m
 		if i1 == i2 {
-			s := &arr.locks[i1]
+			s := &t.stripes.locks[i1]
 			s.lockContended(t.stripeWaitHist(), int(i1))
-			if t.stripes.arr.Load() == arr && arr.mask.Load() == m {
+			if t.stripes.mask.Load() == m {
 				return s, nil
 			}
 			s.mu.Unlock()
@@ -218,10 +190,10 @@ func (t *Table[K, V]) lockHash2(h1, h2 uint64) (a, b *stripeLock) {
 		if i1 > i2 {
 			i1, i2 = i2, i1
 		}
-		s1, s2 := &arr.locks[i1], &arr.locks[i2]
+		s1, s2 := &t.stripes.locks[i1], &t.stripes.locks[i2]
 		s1.lockContended(t.stripeWaitHist(), int(i1))
 		s2.lockContended(t.stripeWaitHist(), int(i2))
-		if t.stripes.arr.Load() == arr && arr.mask.Load() == m {
+		if t.stripes.mask.Load() == m {
 			return s1, s2
 		}
 		s2.mu.Unlock()
@@ -229,131 +201,41 @@ func (t *Table[K, V]) lockHash2(h1, h2 uint64) (a, b *stripeLock) {
 	}
 }
 
-// lockAll acquires every stripe of array a in ascending order. Only
-// resize and retune use it (both hold resizeMu, under which the
-// current array cannot change), for array-construction/publish phases
-// and for mask or array swaps. Maintenance sweeps are not counted in
-// the contention telemetry.
-func (t *Table[K, V]) lockAll(a *stripeArray) {
-	for i := range a.locks {
-		a.locks[i].mu.Lock()
+// lockAll acquires every stripe in ascending order. Only resizes use
+// it (under resizeMu), for array-construction/publish phases and mask
+// swaps. Maintenance sweeps are not counted in the contention
+// telemetry.
+func (t *Table[K, V]) lockAll() {
+	for i := range t.stripes.locks {
+		t.stripes.locks[i].mu.Lock()
 	}
 }
 
-// unlockAll releases every stripe of array a.
-func (t *Table[K, V]) unlockAll(a *stripeArray) {
-	for i := range a.locks {
-		a.locks[i].mu.Unlock()
+// unlockAll releases every stripe.
+func (t *Table[K, V]) unlockAll() {
+	for i := range t.stripes.locks {
+		t.stripes.locks[i].mu.Unlock()
 	}
 }
 
 // Stripes returns the physical writer-stripe count (the effective
 // count is min(Stripes, Buckets)).
-func (t *Table[K, V]) Stripes() int { return len(t.stripes.arr.Load().locks) }
+func (t *Table[K, V]) Stripes() int { return len(t.stripes.locks) }
 
 // EffectiveStripes returns the number of stripes writers currently
 // hash across: min(Stripes, Buckets), held at parent granularity for
 // the duration of an expansion's unzip.
 func (t *Table[K, V]) EffectiveStripes() int {
-	return int(t.stripes.arr.Load().mask.Load() + 1)
+	return int(t.stripes.mask.Load() + 1)
 }
 
 // ContentionCounters returns the cumulative stripe-lock telemetry:
 // total writer stripe acquisitions and how many of them blocked
-// (failed a TryLock first). The adapt controller samples the pair
-// and acts on the contended/acquires rate between samples.
-//
-// Totals carry across retunes: each retune folds the retired array's
-// sums into a table-level base. The fold and the array publish are
-// bracketed by a seqlock (retuneSeq) so a reader can never pair the
-// folded base with the still-published old array — which would
-// double-count the array's whole history and make the next read
-// appear to go backwards (underflowing every delta-based consumer).
-// Readers overlapping a retune spin for its brief all-stripes
-// window. The counters remain telemetry-grade at the edges: a
-// contended.Add from a writer blocking DURING the fold can land
-// after its stripe was summed, losing a handful of events — never a
-// regression of the running total.
+// (failed a TryLock first).
 func (t *Table[K, V]) ContentionCounters() (acquires, contended uint64) {
-	for {
-		v := t.stats.retuneSeq.Load()
-		if v&1 != 0 {
-			runtime.Gosched() // retune mid-swap; its window is microseconds
-			continue
-		}
-		acquires = t.stats.stripeAcquiresBase.Load()
-		contended = t.stats.stripeContendedBase.Load()
-		a := t.stripes.arr.Load()
-		for i := range a.locks {
-			acquires += a.locks[i].acquires.Load()
-			contended += a.locks[i].contended.Load()
-		}
-		if t.stats.retuneSeq.Load() == v {
-			return acquires, contended
-		}
+	for i := range t.stripes.locks {
+		acquires += t.stripes.locks[i].acquires.Load()
+		contended += t.stripes.locks[i].contended.Load()
 	}
-}
-
-// SetStripes retunes the physical writer-stripe count at runtime
-// (rounded to a power of two, clamped to [1, 256] like WithStripes),
-// reporting whether the array changed. The swap follows exactly the
-// bucket-array discipline: a new lock array is built, published with
-// one atomic store while every stripe of the OLD array is held — so
-// no writer holds any chain coverage across the transition — and the
-// old array becomes garbage. Writers blocked on an old stripe wake,
-// fail their re-check, and retry against the new array.
-//
-// Retunes serialize with resizes on resizeMu, so the effective-mask
-// invariants hold unconditionally: a retune can never interleave
-// with an unzip window, and the new mask is min(new physical,
-// buckets)-1 computed under all stripes. SetStripes blocks behind an
-// in-flight resize and then applies; TrySetStripes is the
-// non-blocking form control loops use.
-func (t *Table[K, V]) SetStripes(n int) bool {
-	t.resizeMu.Lock()
-	defer t.resizeMu.Unlock()
-	return t.setStripesLocked(clampStripes(n))
-}
-
-// TrySetStripes is SetStripes except it gives up (returning false)
-// when a resize currently holds the maintenance lock, instead of
-// parking for the resize's full grace-period-dominated duration. The
-// adapt controller retunes through this from its sampling loop,
-// which must stay live during resizes to keep adjusting the unzip
-// migration fan-out; a skipped retune simply lands on a later sample.
-func (t *Table[K, V]) TrySetStripes(n int) bool {
-	if !t.resizeMu.TryLock() {
-		return false // resize in flight; retry on a later sample
-	}
-	defer t.resizeMu.Unlock()
-	return t.setStripesLocked(clampStripes(n))
-}
-
-// setStripesLocked swaps the stripe array; the caller holds resizeMu.
-func (t *Table[K, V]) setStripesLocked(want uint64) bool {
-	old := t.stripes.arr.Load()
-	if uint64(len(old.locks)) == want {
-		return false
-	}
-	t.lockAll(old)
-	t.resizeEpoch.Add(1) // odd: stripe swap in progress (CAS fast path falls back)
-	// Fold the retiring array's telemetry into the table-level base
-	// so ContentionCounters stays monotonic across the swap. The
-	// seqlock (odd = swap in progress) keeps readers from pairing
-	// the folded base with the old array.
-	t.stats.retuneSeq.Add(1)
-	var acq, con uint64
-	for i := range old.locks {
-		acq += old.locks[i].acquires.Load()
-		con += old.locks[i].contended.Load()
-	}
-	t.stats.stripeAcquiresBase.Add(acq)
-	t.stats.stripeContendedBase.Add(con)
-	t.stripes.arr.Store(newStripeArray(want, t.eng.bucketCount()))
-	t.stats.retuneSeq.Add(1)
-	t.resizeEpoch.Add(1) // even again: fast-path windows spanning the swap re-validate
-	t.unlockAll(old)
-	t.stats.retunes.Add(1)
-	t.obsEvent(obs.EvStripeRetune, int64(len(old.locks)), int64(want), 0)
-	return true
+	return acquires, contended
 }

@@ -42,7 +42,7 @@ func TestEffectiveMaskTracksBuckets(t *testing.T) {
 	defer tbl.Close()
 	check := func(wantBuckets uint64) {
 		t.Helper()
-		m := tbl.stripes.arr.Load().mask.Load()
+		m := tbl.stripes.mask.Load()
 		want := effectiveStripeMask(64, wantBuckets)
 		if m != want {
 			t.Fatalf("at %d buckets: mask = %d, want %d", wantBuckets, m, want)

@@ -38,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rphash/internal/adapt"
 	"rphash/internal/hashfn"
 	"rphash/internal/obs"
 	"rphash/internal/rcu"
@@ -118,14 +117,14 @@ type Table[K comparable, V any] struct {
 	resizeMu sync.Mutex
 
 	// resizeEpoch is a seqlock over every all-stripes critical
-	// section: stripe retunes (setStripesLocked), shrink publication,
-	// and both of an expansion's all-stripes sections (array publish
-	// and final mask raise) increment it to odd on entry and back to
-	// even on exit. The CAS-insert fast path (tryInsertCAS) reads it
-	// before publishing and re-validates it after: an unchanged even
-	// value proves no resize or retune captured the bucket array or
-	// swapped the stripe array across the publication window, so the
-	// lock-free insert could not have been missed by a capture walk.
+	// section: shrink publication and both of an expansion's
+	// all-stripes sections (array publish and final mask raise)
+	// increment it to odd on entry and back to even on exit. The
+	// CAS-insert fast path (tryInsertCAS) reads it before publishing
+	// and re-validates it after: an unchanged even value proves no
+	// resize captured the bucket array or moved the stripe mask across
+	// the publication window, so the lock-free insert could not have
+	// been missed by a capture walk.
 	resizeEpoch atomic.Uint64
 
 	// noCASInsert disables the CAS-insert fast path (WithCASInsert);
@@ -141,22 +140,9 @@ type Table[K comparable, V any] struct {
 	// stripe held; read by writers under their stripe.
 	unzipParent atomic.Uint64
 
-	// unzipWorkers is the migration fan-out for expansion unzip
-	// passes (see SetUnzipWorkers); <= 1 means sequential.
-	// unzipBacklog is the number of parent chains the in-flight
-	// expansion still has to unzip — the backlog signal the adapt
-	// controller sizes the fan-out from.
-	unzipWorkers atomic.Int32
+	// unzipBacklog is the number of parent chains (chain engine) or
+	// units (flat engine) the in-flight resize still has to migrate.
 	unzipBacklog atomic.Int64
-
-	// ctrl is the table's adapt controller, if maintenance is on
-	// (WithAdapt or Maintain). ctrlMu orders Maintain against Close:
-	// once ctrlClosed is set no controller can be installed, so a
-	// Maintain racing Close can never leak a running controller on a
-	// shared-domain table (whose Done channel would never fire).
-	ctrlMu     sync.Mutex
-	ctrl       *adapt.Controller
-	ctrlClosed bool
 
 	// wc is the one cache line of counters a point write adds to (see
 	// writeCounters). Set once at construction.
@@ -197,6 +183,11 @@ type Table[K comparable, V any] struct {
 	// so tests can assert the mid-resize reachability invariant in
 	// exactly the states concurrent readers and writers observe.
 	testHookAfterUnzipPass func(pass int)
+
+	// testHookBeforePublish, when set (tests only), runs in every
+	// striped chain insert after its absence walk and before its
+	// publish, with the stripe held.
+	testHookBeforePublish func()
 }
 
 // Policy controls automatic resizing. A zero MaxLoad disables
@@ -218,17 +209,15 @@ type resizeTrigger struct {
 }
 
 type config struct {
-	dom          *rcu.Domain
-	initial      uint64
-	stripes      uint64
-	policy       Policy
-	perCutGrace  bool
-	unzipWorkers int
-	adapt        *adapt.Config
-	obsv         *obs.Observer
-	shardID      int
-	noCASInsert  bool
-	engine       string
+	dom         *rcu.Domain
+	initial     uint64
+	stripes     uint64
+	policy      Policy
+	perCutGrace bool
+	obsv        *obs.Observer
+	shardID     int
+	noCASInsert bool
+	engine      string
 }
 
 // Option configures a Table at construction.
@@ -257,30 +246,9 @@ func WithStripes(n int) Option {
 	return func(c *config) { c.stripes = clampStripes(n) }
 }
 
-// WithUnzipWorkers sets the initial migration fan-out for expansion
-// unzip passes (see SetUnzipWorkers; default 1 = the sequential
-// resizer). The adapt controller, when enabled, retunes it at
-// runtime from the observed migration backlog.
-func WithUnzipWorkers(n int) Option {
-	return func(c *config) { c.unzipWorkers = n }
-}
-
-// WithAdapt starts an adaptive maintenance controller on the table at
-// construction (see internal/adapt): it samples the table's stripe
-// contention telemetry, grows or shrinks the writer-stripe array
-// under sustained pressure or sustained quiet, and sizes the unzip
-// migration fan-out from the live resize backlog. nil leaves
-// maintenance off — the core table's default, so benchmarks and
-// ablations pin their shape with WithStripes alone. The controller
-// stops on Close (and on the RCU domain's Done). Maintain is the
-// post-construction form.
-func WithAdapt(cfg *adapt.Config) Option {
-	return func(c *config) { c.adapt = cfg }
-}
-
 // WithObserver wires the table into an observability hub (see
 // internal/obs): writer stripe-acquire waits feed o.StripeWait
-// (contended acquisitions only), resize/retune lifecycle events feed
+// (contended acquisitions only), resize lifecycle events feed
 // o.Events, and the table's RCU domain reports grace-period wait
 // latency into o.GraceWait. nil is the default: all instrumentation
 // points compile down to one pointer compare.
@@ -288,7 +256,7 @@ func WithObserver(o *obs.Observer) Option { return func(c *config) { c.obsv = o 
 
 // WithShardID tags the table's observer records with a shard index,
 // so a sharded front end (internal/shard) can tell which shard's
-// resize or retune produced an event. Meaningless without
+// resize produced an event. Meaningless without
 // WithObserver.
 func WithShardID(n int) Option { return func(c *config) { c.shardID = n } }
 
@@ -352,50 +320,7 @@ func New[K comparable, V any](hash func(K) uint64, opts ...Option) *Table[K, V] 
 	}
 	t.eng = newEngine(t, &cfg)
 	t.stripes.init(cfg.stripes, cfg.initial)
-	if cfg.unzipWorkers > 1 {
-		t.SetUnzipWorkers(cfg.unzipWorkers)
-	}
-	if cfg.adapt != nil {
-		t.Maintain(cfg.adapt)
-	}
 	return t
-}
-
-// Maintain starts (or replaces) the table's adaptive maintenance
-// controller with the given configuration, returning it; nil stops
-// maintenance. The controller samples stripe contention and the
-// unzip backlog on its own goroutine and retunes the stripe array
-// and migration fan-out through TrySetStripes/SetUnzipWorkers — see
-// internal/adapt for the sampling and hysteresis model. It exits
-// promptly on Close via the domain's Done channel. Maintain after
-// (or racing) Close installs nothing and returns nil. The previous
-// controller is stopped BEFORE its replacement starts, so the
-// incoming controller observes the table's restored baseline fan-out
-// rather than a transient its predecessor set.
-func (t *Table[K, V]) Maintain(cfg *adapt.Config) *adapt.Controller {
-	t.ctrlMu.Lock()
-	defer t.ctrlMu.Unlock()
-	if old := t.ctrl; old != nil {
-		t.ctrl = nil
-		old.Stop()
-	}
-	if cfg == nil || t.ctrlClosed {
-		return nil
-	}
-	t.ctrl = adapt.Start(t, cfg, t.dom.Done())
-	return t.ctrl
-}
-
-// AdaptStats returns the maintenance controller's snapshot; ok is
-// false when maintenance is off.
-func (t *Table[K, V]) AdaptStats() (adapt.Stats, bool) {
-	t.ctrlMu.Lock()
-	c := t.ctrl
-	t.ctrlMu.Unlock()
-	if c == nil {
-		return adapt.Stats{}, false
-	}
-	return c.Stats(), true
 }
 
 // NewUint64 creates a table keyed by uint64 using the repository's
@@ -423,18 +348,9 @@ func (t *Table[K, V]) Len() int { return int(t.wc.count.Load()) }
 // afterwards if a resize is in flight.
 func (t *Table[K, V]) Buckets() int { return int(t.eng.bucketCount()) }
 
-// Close stops the table's maintenance controller (if any) and
-// releases the domain if the table created it. The table must not be
-// used afterwards.
+// Close releases the domain if the table created it. The table must
+// not be used afterwards.
 func (t *Table[K, V]) Close() {
-	t.ctrlMu.Lock()
-	t.ctrlClosed = true
-	c := t.ctrl
-	t.ctrl = nil
-	t.ctrlMu.Unlock()
-	if c != nil {
-		c.Stop()
-	}
 	if t.ownDom {
 		t.dom.Close()
 	}

@@ -94,13 +94,16 @@ func (t *Table[K, V]) chainSetHashed(h uint64, k K, v V) bool {
 	}
 striped:
 	s := t.lockHash(h)
-	if n := t.findLocked(h, k); n != nil {
+	n, head := t.findHeadLocked(h, k)
+	if n == nil {
+		n = t.insertLocked(h, k, &v, head)
+	}
+	if n != nil {
 		n.val.Store(&v)
 		s.mu.Unlock()
 		t.opRecord(pr, h, obs.OpSet, obs.PathStriped, obs.OutReplaced)
 		return false
 	}
-	t.insertLocked(h, k, &v)
 	s.mu.Unlock()
 	t.maybeAutoResizeBackpressure()
 	t.opRecord(pr, h, obs.OpSet, obs.PathStriped, obs.OutInserted)
@@ -158,14 +161,17 @@ func (t *Table[K, V]) chainSwapHashed(h uint64, k K, v V) (old V, replaced bool)
 	}
 striped:
 	s := t.lockHash(h)
-	if n := t.findLocked(h, k); n != nil {
+	n, head := t.findHeadLocked(h, k)
+	if n == nil {
+		n = t.insertLocked(h, k, &v, head)
+	}
+	if n != nil {
 		old = *n.val.Load()
 		n.val.Store(&v)
 		s.mu.Unlock()
 		t.opRecord(pr, h, obs.OpSwap, obs.PathStriped, obs.OutReplaced)
 		return old, true
 	}
-	t.insertLocked(h, k, &v)
 	s.mu.Unlock()
 	t.maybeAutoResizeBackpressure()
 	t.opRecord(pr, h, obs.OpSwap, obs.PathStriped, obs.OutInserted)
@@ -200,12 +206,13 @@ func (t *Table[K, V]) chainInsertHashed(h uint64, k K, v V) bool {
 		}
 	}
 	s := t.lockHash(h)
-	if t.findLocked(h, k) != nil {
+	n, head := t.findHeadLocked(h, k)
+	if n != nil || t.insertLocked(h, k, &v, head) != nil {
+		// Present, or a lock-free insert of k landed first.
 		s.mu.Unlock()
 		t.opRecord(pr, h, obs.OpInsert, obs.PathStriped, obs.OutNoop)
 		return false
 	}
-	t.insertLocked(h, k, &v)
 	s.mu.Unlock()
 	t.maybeAutoResizeBackpressure()
 	t.opRecord(pr, h, obs.OpInsert, obs.PathStriped, obs.OutInserted)
@@ -390,24 +397,21 @@ func (t *Table[K, V]) chainMove(oldKey, newKey K) bool {
 		s1.mu.Unlock()
 	}
 	src := t.findLocked(oh, oldKey)
-	if src == nil || t.findLocked(nh, newKey) != nil {
+	dst, head := t.findHeadLocked(nh, newKey)
+	if src == nil || dst != nil {
 		unlock()
 		return false
 	}
 	// Publish the copy first (value shared via the same pointer), so
-	// there is no instant with the value unreachable. CAS loop: a
-	// fast-path insert of another key may prepend to this head at any
-	// instant.
+	// there is no instant with the value unreachable. A lock-free
+	// insert of newKey may still land before the publish; then newKey
+	// exists after all and the move fails.
 	ht := t.ht.Load()
 	cp := &node[K, V]{hash: nh, key: newKey}
 	cp.val.Store(src.val.Load())
-	slot := ht.bucketFor(nh)
-	for {
-		head := slot.Load()
-		cp.next.Store(head)
-		if slot.CompareAndSwap(head, cp) {
-			break
-		}
+	if t.publishLocked(ht.bucketFor(nh), cp, head) != nil {
+		unlock()
+		return false
 	}
 	t.stats.moves.Add(1)
 
@@ -436,40 +440,71 @@ func (t *Table[K, V]) chainMove(oldKey, newKey K) bool {
 // findLocked returns the node for (h,k) in the current array, or nil.
 // The caller holds the stripe covering h.
 func (t *Table[K, V]) findLocked(h uint64, k K) *node[K, V] {
-	ht := t.ht.Load()
-	for n := ht.bucketFor(h).Load(); n != nil; n = n.next.Load() {
-		if n.hash == h && n.key == k {
-			return n
-		}
-	}
-	return nil
+	n, _ := t.findHeadLocked(h, k)
+	return n
 }
 
-// insertLocked publishes a new node at its bucket head. The caller
-// holds the stripe covering h and owns *vp, the node's value box —
-// passing the box instead of the value lets callers whose value
-// already escaped (every public upsert boxes once for its fast path)
-// insert with no second allocation; the box must not be mutated after
-// the call. Head insertion is always safe, even mid-unzip: a new head
-// only prepends to the home chain's exclusive prefix, never
-// disturbing a shared suffix. The publish is a CAS loop: holding the
-// stripe excludes other stripe writers but not the lock-free insert
-// fast path, which may prepend a different key to this head
-// concurrently.
-func (t *Table[K, V]) insertLocked(h uint64, k K, vp *V) {
-	ht := t.ht.Load()
+// findHeadLocked is findLocked for callers that go on to insert: on a
+// miss it also returns the bucket head its walk started from, the head
+// the absence proof covers, which the caller hands to insertLocked.
+// The caller holds the stripe covering h.
+func (t *Table[K, V]) findHeadLocked(h uint64, k K) (n, head *node[K, V]) {
+	head = t.ht.Load().bucketFor(h).Load()
+	for n = head; n != nil; n = n.next.Load() {
+		if n.hash == h && n.key == k {
+			return n, head
+		}
+	}
+	return nil, head
+}
+
+// insertLocked publishes a new node for (h,k) against head, the head
+// findHeadLocked proved k absent behind. It returns nil once the node
+// is in, or a rival: a node for k that a lock-free insert
+// (tryInsertCAS, which takes no stripe) published after the walk, in
+// which case the caller treats k as present. The caller holds the
+// stripe covering h and owns *vp, the node's value box — passing the
+// box instead of the value lets callers whose value already escaped
+// (every public upsert boxes once for its fast path) insert with no
+// second allocation; the box must not be mutated after the call. Head
+// insertion is always safe, even mid-unzip: a new head only prepends
+// to the home chain's exclusive prefix, never disturbing a shared
+// suffix.
+func (t *Table[K, V]) insertLocked(h uint64, k K, vp *V, head *node[K, V]) *node[K, V] {
 	n := &node[K, V]{hash: h, key: k}
 	n.val.Store(vp)
-	slot := ht.bucketFor(h)
-	for {
-		head := slot.Load()
-		n.next.Store(head)                // initialize ...
-		if slot.CompareAndSwap(head, n) { // ... then publish
-			break
-		}
+	if rival := t.publishLocked(t.ht.Load().bucketFor(h), n, head); rival != nil {
+		return rival
 	}
 	t.wc.count.Add(1)
 	t.wc.inserts.Add(1)
+	return nil
+}
+
+// publishLocked links the unpublished node n in at slot by CAS against
+// head, the head an absence walk for n's key started from. The stripe
+// the caller holds excludes every change to the chain except lock-free
+// prepends, so a failed CAS needs only the new prefix checked, from
+// the current head down to the old one: a node for n's key there is
+// returned as the rival and n stays unpublished; otherwise the CAS
+// retries against the current head.
+func (t *Table[K, V]) publishLocked(slot *atomic.Pointer[node[K, V]], n, head *node[K, V]) *node[K, V] {
+	if t.testHookBeforePublish != nil {
+		t.testHookBeforePublish()
+	}
+	for {
+		n.next.Store(head)                // initialize ...
+		if slot.CompareAndSwap(head, n) { // ... then publish
+			return nil
+		}
+		cur := slot.Load()
+		for c := cur; c != head; c = c.next.Load() {
+			if c.hash == n.hash && c.key == n.key {
+				return c
+			}
+		}
+		head = cur
+	}
 }
 
 // casUnlinkHead redirects a bucket head past victim (whose current
@@ -527,7 +562,7 @@ const casInsertRetries = 4
 // Table.resizeEpoch).
 //
 // An unchanged epoch proves that no all-stripes section — shrink
-// capture, expand publish, unzip-window close, stripe retune — and no
+// capture, expand publish, unzip-window close — and no
 // unzip window (unzipParent is read at e1, and opening a window moves
 // the epoch) overlapped the attempt: the node went into the live
 // array and no capture walk missed it. On a mismatch recoverInsertCAS
@@ -607,7 +642,7 @@ func (t *Table[K, V]) tryInsertCAS(h uint64, k K, vp *V) casInsertOutcome {
 //
 //   - resizeEpoch unchanged (and even) since before the walk, with
 //     unzipParent zero at the same point: no all-stripes section ran,
-//     so the bucket array and the stripe array are the ones the walk
+//     so the bucket array and the stripe mask are the ones the walk
 //     used, and the stripe held here is the stripe that covered the
 //     key throughout. This also rules out the walk having surfaced a
 //     node a superseding array silently dropped (recoverInsertCAS's
@@ -616,24 +651,25 @@ func (t *Table[K, V]) tryInsertCAS(h uint64, k K, vp *V) casInsertOutcome {
 //   - casState != casConsumed: every unlink of this node (delete,
 //     move) serializes on that same stripe and dead-marks the node
 //     before releasing it, so an unmarked node has not been unlinked
-//     — and since an insert of the key requires its absence, no rival
+//     — and since every insert of the key publishes against the head
+//     its absence walk covered (tryInsertCAS, publishLocked), no rival
 //     node for the key can exist either.
 //
 // The caller's value store is then an exact striped replace —
 // serialized with every other writer on the key — with the chain walk
-// already paid for lock-free. On a false return (rare: a resize or
-// retune overlapped, or the node died between walk and lock) the
-// caller redoes the full upsert under the stripe.
+// already paid for lock-free. On a false return (rare: a resize
+// overlapped, or the node died between walk and lock) the caller
+// redoes the full upsert under the stripe.
 func (t *Table[K, V]) casHintValid(e1 uint64, n *node[K, V]) bool {
 	return t.resizeEpoch.Load() == e1 && n.casState.Load() != casConsumed
 }
 
 // recoverInsertCAS resolves a fast-path insert whose epoch validation
-// failed: some all-stripes section (resize or retune) overlapped the
-// publication window, so the published node's fate is ambiguous. Under
-// the key's stripe — which freezes the bucket array, the unzip state,
-// and every competing writer on this chain — exactly one of three
-// things is true:
+// failed: a resize's all-stripes section overlapped the publication
+// window, so the published node's fate is ambiguous. Under the key's
+// stripe — which freezes the bucket array, the unzip state, and every
+// competing writer on this chain — exactly one of three things is
+// true:
 //
 //  1. casState == casConsumed: a stripe writer found and unlinked the
 //     node, which means it was visible — the insert happened (and a
@@ -641,7 +677,13 @@ func (t *Table[K, V]) casHintValid(e1 uint64, n *node[K, V]) bool {
 //  2. The node is reachable from its home bucket in the CURRENT
 //     array (pointer identity): the section that moved the epoch
 //     captured it, or never touched its bucket. Adopt it by flipping
-//     casSpeculative → casCommitted.
+//     casSpeculative → casCommitted. Adopting cannot leave two nodes
+//     for the key: every insert, lock-free or striped, publishes by
+//     CAS against the head its absence walk started from, and a
+//     striped one re-checks the prefix that appeared since
+//     (publishLocked). Of two inserts of one key into one chain, the
+//     later one therefore either walked over the earlier node or lost
+//     its CAS and met it in the prefix, and captures move whole chains.
 //  3. Neither: a capture walk read the bucket head before the CAS
 //     landed and the superseding array dropped the node. Nothing
 //     durable ever pointed at it — undo (roll the count back) and
@@ -677,8 +719,11 @@ func (t *Table[K, V]) recoverInsertCAS(h uint64, n *node[K, V]) casInsertOutcome
 // returns the value to store plus whether to store it. The whole
 // sequence is atomic with respect to every other writer on the key.
 // fn runs with the stripe held — it must be fast, must not block, and
-// must not call operations on the same table. Returns the
-// pre-existing value (if any) and whether fn's result was stored.
+// must not call operations on the same table. fn may run more than
+// once: when it was shown k absent and a lock-free insert of k lands
+// before its result is published, it runs again on that value, and
+// only the last run's result counts. Returns the pre-existing value
+// (if any) and whether fn's result was stored.
 func (t *Table[K, V]) Update(k K, fn func(cur V, present bool) (V, bool)) (prev V, hadPrev, stored bool) {
 	return t.UpdateHashed(t.hash(k), k, fn)
 }
@@ -693,24 +738,29 @@ func (t *Table[K, V]) UpdateHashed(h uint64, k K, fn func(cur V, present bool) (
 func (t *Table[K, V]) chainUpdateHashed(h uint64, k K, fn func(cur V, present bool) (V, bool)) (prev V, hadPrev, stored bool) {
 	pr := t.opStart(h)
 	s := t.lockHash(h)
-	n := t.findLocked(h, k)
-	if n != nil {
-		prev = *n.val.Load()
-		hadPrev = true
+	n, head := t.findHeadLocked(h, k)
+	for {
+		if n != nil {
+			prev = *n.val.Load()
+			hadPrev = true
+		}
+		v, store := fn(prev, hadPrev)
+		if !store {
+			s.mu.Unlock()
+			t.opRecord(pr, h, obs.OpUpdate, obs.PathStriped, obs.OutNoop)
+			return prev, hadPrev, false
+		}
+		if n != nil {
+			n.val.Store(&v)
+			s.mu.Unlock()
+			t.opRecord(pr, h, obs.OpUpdate, obs.PathStriped, obs.OutReplaced)
+			return prev, hadPrev, true
+		}
+		if n = t.insertLocked(h, k, &v, head); n == nil {
+			break
+		}
+		// A lock-free insert of k landed after the walk: rerun fn on it.
 	}
-	v, store := fn(prev, hadPrev)
-	if !store {
-		s.mu.Unlock()
-		t.opRecord(pr, h, obs.OpUpdate, obs.PathStriped, obs.OutNoop)
-		return prev, hadPrev, false
-	}
-	if n != nil {
-		n.val.Store(&v)
-		s.mu.Unlock()
-		t.opRecord(pr, h, obs.OpUpdate, obs.PathStriped, obs.OutReplaced)
-		return prev, hadPrev, true
-	}
-	t.insertLocked(h, k, &v)
 	s.mu.Unlock()
 	t.maybeAutoResizeBackpressure()
 	t.opRecord(pr, h, obs.OpUpdate, obs.PathStriped, obs.OutInserted)
@@ -735,7 +785,7 @@ func (t *Table[K, V]) chainUpdateHashed(h uint64, k K, fn func(cur V, present bo
 // does not extend to values swapped in between its examine and its
 // unlink. Resizes are immune by construction — they relink the same
 // nodes, never copy them — so a successful swap is never lost to a
-// concurrent expand, shrink, or retune.
+// concurrent expand or shrink.
 func (t *Table[K, V]) CompareAndSwapValue(k K, match func(V) bool, v V) (swapped, present bool) {
 	return t.CompareAndSwapValueHashed(t.hash(k), k, match, v)
 }

@@ -6,9 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"rphash/internal/adapt"
 )
 
 // Write-path benchmarks for `make bench-write` / benchstat
@@ -47,66 +44,6 @@ func BenchmarkWriteUpsertStriped(b *testing.B) {
 func BenchmarkWriteUpsertSingleLock(b *testing.B) {
 	benchmarkWriteUpsert(b, WithStripes(1))
 }
-
-// Adaptive-maintenance benchmarks for `make bench-adapt`. The
-// Adaptive/Striped/SingleLock trio is the microbenchmark form of
-// ablation A6a: same table and workload, but the adaptive variant
-// starts at one stripe and must discover its shape at runtime while
-// the benchmark runs (its telemetry sampling also rides along, so
-// the pair Striped-vs-Adaptive bounds the telemetry + controller
-// overhead at steady state).
-
-// BenchmarkAdaptWriteUpsert: adapt controller on, stripes start at 1.
-func BenchmarkAdaptWriteUpsert(b *testing.B) {
-	cfg := adapt.DefaultConfig()
-	cfg.Interval = 10 * time.Millisecond
-	cfg.GrowStreak = 1
-	cfg.MinStripes = 1
-	cfg.MinSamples = 64
-	benchmarkWriteUpsert(b, WithStripes(1), WithAdapt(cfg))
-}
-
-// BenchmarkAdaptRetune: the cost of one SetStripes array swap on a
-// quiet table (all-stripes hold, telemetry fold, publish).
-func BenchmarkAdaptRetune(b *testing.B) {
-	tbl := NewUint64[int](WithInitialBuckets(8192))
-	defer tbl.Close()
-	for i := uint64(0); i < 8192; i++ {
-		tbl.Set(i, int(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i&1 == 0 {
-			tbl.SetStripes(128)
-		} else {
-			tbl.SetStripes(64)
-		}
-	}
-}
-
-// BenchmarkAdaptExpandParallel2 / Sequential: one full doubling of a
-// preloaded table, the A6b wall-time comparison in benchstat form.
-func benchmarkExpand(b *testing.B, workers int) {
-	const keys = 1 << 15
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tbl := NewUint64[int](WithInitialBuckets(keys / 8))
-		for k := uint64(0); k < keys; k++ {
-			tbl.Set(k, int(k))
-		}
-		tbl.SetUnzipWorkers(workers)
-		b.StartTimer()
-		tbl.ExpandOnce()
-		b.StopTimer()
-		tbl.Close()
-	}
-}
-
-func BenchmarkAdaptExpandSequential(b *testing.B) { benchmarkExpand(b, 1) }
-func BenchmarkAdaptExpandParallel2(b *testing.B)  { benchmarkExpand(b, 2) }
-func BenchmarkAdaptExpandParallel4(b *testing.B)  { benchmarkExpand(b, 4) }
 
 // BenchmarkWriteMixedStriped adds deletes (and hence unlink +
 // retirement traffic) to the striped write path.

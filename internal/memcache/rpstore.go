@@ -355,10 +355,10 @@ func (s *RPStore) Stats() StoreStats {
 // RegisterMetrics publishes the store's full metric surface into reg:
 // cache hit/miss/load/eviction counters, byte and item gauges, the
 // map's structural counters (buckets, stripe-lock telemetry, resize
-// and unzip totals), RCU domain counters, adaptive-maintenance stats
-// when enabled, and — when the store was built WithStoreObserver —
-// every latency histogram and the event-ring depth. All closures read
-// O(1)/O(stripes) counter snapshots, so scraping never walks buckets.
+// and unzip totals), RCU domain counters, and — when the store was
+// built WithStoreObserver — every latency histogram and the
+// event-ring depth. All closures read O(1)/O(stripes) counter
+// snapshots, so scraping never walks buckets.
 func (s *RPStore) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -388,8 +388,6 @@ func (s *RPStore) RegisterMetrics(reg *obs.Registry) {
 		func() uint64 { return s.c.MapCounters().StripeAcquires })
 	reg.Counter("rphash_stripe_contended_total", "Writer stripe-lock acquisitions that blocked.",
 		func() uint64 { return s.c.MapCounters().StripeContended })
-	reg.Counter("rphash_stripe_retunes_total", "Runtime stripe-array swaps.",
-		func() uint64 { return s.c.MapCounters().StripeRetunes })
 	reg.Counter("rphash_map_expands_total", "Table expansions (unzip).",
 		func() uint64 { return s.c.MapCounters().Expands })
 	reg.Counter("rphash_map_shrinks_total", "Table shrinks (zip).",
@@ -445,19 +443,6 @@ func (s *RPStore) RegisterMetrics(reg *obs.Registry) {
 		func() uint64 { return s.c.Domain().Stats().DeferredRan })
 	reg.Gauge("rphash_rcu_readers", "Currently registered delimited readers.",
 		func() float64 { return float64(s.c.Domain().Stats().Readers) })
-
-	if _, on := s.c.AdaptStats(); on {
-		reg.Counter("rphash_adapt_samples_total", "Adaptive-maintenance sampling intervals.",
-			func() uint64 { st, _ := s.c.AdaptStats(); return st.Samples })
-		reg.Counter("rphash_adapt_stripe_grows_total", "Retunes that doubled stripes.",
-			func() uint64 { st, _ := s.c.AdaptStats(); return st.StripeGrows })
-		reg.Counter("rphash_adapt_stripe_shrinks_total", "Retunes that halved stripes.",
-			func() uint64 { st, _ := s.c.AdaptStats(); return st.StripeShrinks })
-		reg.Counter("rphash_adapt_worker_retunes_total", "Unzip fan-out adjustments.",
-			func() uint64 { st, _ := s.c.AdaptStats(); return st.WorkerRetunes })
-		reg.Gauge("rphash_adapt_contention_rate", "Most recent sampled contention rate (max over shards).",
-			func() float64 { st, _ := s.c.AdaptStats(); return st.LastRate })
-	}
 
 	s.obsv.Register(reg)
 }

@@ -1,5 +1,5 @@
 // Package obs is the observability plane: lock-free latency
-// histograms, a concurrent event ring for resize/retune lifecycle
+// histograms, a concurrent event ring for resize lifecycle
 // tracing, and an export plane (hand-rolled Prometheus text format,
 // expvar-style JSON, and net/http/pprof mounting).
 //

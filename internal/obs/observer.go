@@ -51,7 +51,7 @@ type Observer struct {
 	// Cmd measures memcached per-command service latency (parse to
 	// response-buffer write) by command class.
 	Cmd [NumCmdClasses]Histogram
-	// Events is the resize/retune lifecycle ring.
+	// Events is the resize lifecycle ring.
 	Events *Ring
 	// Ops is the sampled per-operation flight recorder; nil (the
 	// default) disables it at the cost of one pointer compare per

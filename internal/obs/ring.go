@@ -23,7 +23,8 @@ const (
 	// either half. A=active parent chains to unzip.
 	EvExpandPublish
 	// EvUnzipPass: one unzip pass over the remaining parents
-	// finished. A=pass number (1-based), B=cuts made, C=workers used.
+	// finished. A=pass number (1-based), B=cuts made (chain) or units
+	// copied (flat).
 	EvUnzipPass
 	// EvGraceWait: the resize waited out one grace period. A=wait ns.
 	EvGraceWait
@@ -34,12 +35,6 @@ const (
 	// EvShrinkDone: the shrink completed (zip + one grace period).
 	// A=total ns.
 	EvShrinkDone
-	// EvStripeRetune: the stripe-lock array was swapped. A=old
-	// stripes, B=new stripes.
-	EvStripeRetune
-	// EvUnzipWorkers: the unzip worker fan-out was changed. A=old
-	// workers, B=new workers.
-	EvUnzipWorkers
 	// EvAutoGrow: the load policy triggered a background expansion.
 	// A=len, B=buckets at trigger time.
 	EvAutoGrow
@@ -72,10 +67,6 @@ func (t EventType) String() string {
 		return "shrink_start"
 	case EvShrinkDone:
 		return "shrink_done"
-	case EvStripeRetune:
-		return "stripe_retune"
-	case EvUnzipWorkers:
-		return "unzip_workers"
 	case EvAutoGrow:
 		return "auto_grow"
 	case EvAutoShrink:
@@ -107,7 +98,7 @@ func (e Event) String() string {
 	case EvExpandPublish:
 		return fmt.Sprintf("shard %d: expand publish (doubled array live, %d parents to unzip)", e.Shard, e.A)
 	case EvUnzipPass:
-		return fmt.Sprintf("shard %d: unzip pass %d: %d cuts, %d workers", e.Shard, e.A, e.B, e.C)
+		return fmt.Sprintf("shard %d: unzip pass %d: %d cuts", e.Shard, e.A, e.B)
 	case EvGraceWait:
 		return fmt.Sprintf("shard %d: grace wait %v", e.Shard, time.Duration(e.A))
 	case EvExpandDone:
@@ -116,10 +107,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("shard %d: shrink start %d -> %d buckets", e.Shard, e.A, e.B)
 	case EvShrinkDone:
 		return fmt.Sprintf("shard %d: shrink done in %v", e.Shard, time.Duration(e.A))
-	case EvStripeRetune:
-		return fmt.Sprintf("shard %d: stripe retune %d -> %d", e.Shard, e.A, e.B)
-	case EvUnzipWorkers:
-		return fmt.Sprintf("shard %d: unzip workers %d -> %d", e.Shard, e.A, e.B)
 	case EvAutoGrow:
 		return fmt.Sprintf("shard %d: auto-grow trigger (len=%d buckets=%d)", e.Shard, e.A, e.B)
 	case EvAutoShrink:

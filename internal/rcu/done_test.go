@@ -7,9 +7,9 @@ import (
 
 // TestDomainDone: Done is open for the domain's lifetime, closes the
 // moment Close begins, and stays closed across redundant Closes — the
-// prompt-shutdown signal maintenance goroutines (cache sweeper, adapt
-// controllers) select on instead of discovering closure via a
-// synchronous post-Close Defer.
+// prompt-shutdown signal maintenance goroutines (the cache sweeper)
+// select on instead of discovering closure via a synchronous
+// post-Close Defer.
 func TestDomainDone(t *testing.T) {
 	d := NewDomain()
 	select {

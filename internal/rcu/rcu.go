@@ -74,9 +74,9 @@ type Domain struct {
 	defClosed bool
 
 	// doneCh is closed the moment Close begins, before the reclaimer
-	// drains. Background maintenance goroutines (cache sweepers, adapt
-	// controllers) select on Done() so they observe shutdown promptly
-	// instead of discovering it on their next Defer.
+	// drains. Background maintenance goroutines (cache sweepers)
+	// select on Done() so they observe shutdown promptly instead of
+	// discovering it on their next Defer.
 	doneCh chan struct{}
 
 	// gpWaiters counts Synchronize calls currently waiting. QSBR
@@ -387,7 +387,7 @@ func (d *Domain) Barrier() {
 
 // Done returns a channel closed when the domain's Close begins.
 // Long-running goroutines tied to the domain's lifetime (the cache's
-// expiry sweeper, adapt controllers, resize helpers) select on it to
+// expiry sweeper, resize helpers) select on it to
 // exit promptly on shutdown rather than polling or waiting to trip
 // over a post-Close Defer.
 func (d *Domain) Done() <-chan struct{} { return d.doneCh }

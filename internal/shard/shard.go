@@ -33,7 +33,6 @@ import (
 	"runtime"
 	"sync"
 
-	"rphash/internal/adapt"
 	"rphash/internal/core"
 	"rphash/internal/hashfn"
 	"rphash/internal/obs"
@@ -49,9 +48,6 @@ type Map[K comparable, V any] struct {
 	hash   func(K) uint64
 	shift  uint // shard index = hash >> shift (high bits)
 	ownDom bool
-	// adaptOn records whether the shards run adapt controllers (the
-	// default; WithAdapt(nil) disables).
-	adaptOn bool
 
 	// scratchPool recycles batch-operation workspaces (see batch.go).
 	scratchPool sync.Pool
@@ -62,15 +58,13 @@ type Map[K comparable, V any] struct {
 }
 
 type config struct {
-	shards   uint64
-	initial  uint64 // total across shards; 0 = core default per shard
-	stripes  int
-	engine   string
-	policy   core.Policy
-	dom      *rcu.Domain
-	adapt    *adapt.Config
-	adaptSet bool
-	obsv     *obs.Observer
+	shards  uint64
+	initial uint64 // total across shards; 0 = core default per shard
+	stripes int
+	engine  string
+	policy  core.Policy
+	dom     *rcu.Domain
+	obsv    *obs.Observer
 }
 
 // Option configures a Map at construction.
@@ -111,25 +105,8 @@ func WithEngine(name string) Option { return func(c *config) { c.engine = name }
 // WithTableStripes sets each shard table's physical writer-stripe
 // count (see core.WithStripes). The core default — a few stripes per
 // core — is right for almost everyone; WithTableStripes(1) restores
-// the paper's one-mutex-per-table writer model for ablations. Note
-// that the Map's default adaptive maintenance (see WithAdapt) may
-// retune the stripe count away from this value at runtime under
-// sustained contention: a measurement or ablation that needs the
-// shape FROZEN must combine it with WithAdapt(nil), as the
-// repository's own benchmark engines do.
+// the paper's one-mutex-per-table writer model for ablations.
 func WithTableStripes(n int) Option { return func(c *config) { c.stripes = n } }
-
-// WithAdapt configures the adaptive maintenance controllers the Map
-// runs — one per shard table, started at construction and stopped on
-// Close. The default (option absent) is adapt.DefaultConfig():
-// production maps retune their writer stripes and migration fan-out
-// from live contention without being asked. WithAdapt(nil) pins
-// maintenance off — reproducible-benchmark and ablation runs combine
-// it with WithTableStripes to hold the shape fixed. A non-nil config
-// overrides the sampling cadence, hysteresis thresholds, and bounds.
-func WithAdapt(cfg *adapt.Config) Option {
-	return func(c *config) { c.adapt, c.adaptSet = cfg, true }
-}
 
 // WithObserver wires every shard table — and the map's shared RCU
 // domain — into an observability hub (see internal/obs and
@@ -197,16 +174,6 @@ func New[K comparable, V any](hash func(K) uint64, opts ...Option) *Map[K, V] {
 	if p != (core.Policy{}) {
 		tblOpts = append(tblOpts, core.WithPolicy(p))
 	}
-	if !cfg.adaptSet {
-		cfg.adapt = adapt.DefaultConfig()
-	}
-	if cfg.adapt != nil {
-		// One controller per shard table, sharing the domain's Done
-		// for prompt shutdown; core.Table.Close (called by Map.Close)
-		// stops each.
-		tblOpts = append(tblOpts, core.WithAdapt(cfg.adapt))
-		m.adaptOn = true
-	}
 	for i := range m.shards {
 		opts := tblOpts
 		if cfg.obsv != nil {
@@ -216,26 +183,6 @@ func New[K comparable, V any](hash func(K) uint64, opts ...Option) *Map[K, V] {
 		m.shards[i] = core.New[K, V](hash, opts...)
 	}
 	return m
-}
-
-// AdaptOn reports whether the map runs adaptive maintenance
-// controllers on its shard tables.
-func (m *Map[K, V]) AdaptOn() bool { return m.adaptOn }
-
-// AdaptStats aggregates the per-shard maintenance controllers'
-// snapshots (counters sum, stripe totals sum, the hottest shard's
-// contention rate wins); ok is false when maintenance is off.
-func (m *Map[K, V]) AdaptStats() (adapt.Stats, bool) {
-	if !m.adaptOn {
-		return adapt.Stats{}, false
-	}
-	var agg adapt.Stats
-	for _, s := range m.shards {
-		if st, ok := s.AdaptStats(); ok {
-			agg.Accumulate(st)
-		}
-	}
-	return agg, true
 }
 
 // NewUint64 creates a map keyed by uint64 with the standard
@@ -474,7 +421,6 @@ func accumulate(agg *core.Stats, st core.Stats) {
 	agg.EffectiveStripes += st.EffectiveStripes
 	agg.StripeAcquires += st.StripeAcquires
 	agg.StripeContended += st.StripeContended
-	agg.StripeRetunes += st.StripeRetunes
 	agg.Inserts += st.Inserts
 	agg.Deletes += st.Deletes
 	agg.Moves += st.Moves
@@ -482,7 +428,6 @@ func accumulate(agg *core.Stats, st core.Stats) {
 	agg.Shrinks += st.Shrinks
 	agg.UnzipPasses += st.UnzipPasses
 	agg.UnzipCuts += st.UnzipCuts
-	agg.UnzipParallelPasses += st.UnzipParallelPasses
 	agg.AutoGrows += st.AutoGrows
 	agg.AutoShrinks += st.AutoShrinks
 	agg.CASFastInserts += st.CASFastInserts
@@ -501,9 +446,6 @@ func accumulate(agg *core.Stats, st core.Stats) {
 	agg.FlatSpillEntries += st.FlatSpillEntries
 	if st.FlatMaxSpill > agg.FlatMaxSpill {
 		agg.FlatMaxSpill = st.FlatMaxSpill
-	}
-	if st.UnzipWorkers > agg.UnzipWorkers {
-		agg.UnzipWorkers = st.UnzipWorkers
 	}
 	if st.MaxChain > agg.MaxChain {
 		agg.MaxChain = st.MaxChain
@@ -546,11 +488,6 @@ func (m *Map[K, V]) CounterStats() core.Stats {
 type MapStats struct {
 	core.Stats              // map-wide aggregate
 	PerShard   []core.Stats // shard i's table snapshot
-	// Adapt aggregates the per-shard maintenance controllers'
-	// snapshots; AdaptOn is false (and Adapt zero) when maintenance
-	// is disabled (WithAdapt(nil)).
-	Adapt   adapt.Stats
-	AdaptOn bool
 }
 
 // DetailedStats gathers a MapStats snapshot. It walks every bucket of
@@ -565,7 +502,6 @@ func (m *Map[K, V]) DetailedStats() MapStats {
 	if ms.Buckets > 0 {
 		ms.LoadFactor = float64(ms.Len) / float64(ms.Buckets)
 	}
-	ms.Adapt, ms.AdaptOn = m.AdaptStats()
 	return ms
 }
 

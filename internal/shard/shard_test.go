@@ -415,3 +415,59 @@ func TestConcurrentWritersLand(t *testing.T) {
 		}
 	}
 }
+
+// TestTortureSetSameFreshKeys is the Set-level twin of core's
+// TestStripedInsertMeetsCASRival: writers Set the same fresh keys
+// while the map resizes back and forth, so some of them take the
+// striped path (a resize window is open) just as another lands the
+// same key lock-free. Every key must end up with exactly one entry:
+// a duplicate would show as Len above the key count, and as a key
+// that Range visits twice.
+func TestTortureSetSameFreshKeys(t *testing.T) {
+	m := newM(t, WithShards(2), WithInitialBuckets(64))
+	const keys, writers, rounds = 4096, 4, 5
+	stop := make(chan struct{})
+	var resizer sync.WaitGroup
+	resizer.Add(1)
+	go func() {
+		defer resizer.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.Resize(keys)
+			m.Resize(64)
+		}
+	}()
+	defer func() {
+		close(stop)
+		resizer.Wait()
+	}()
+	for r := 0; r < rounds; r++ {
+		base := uint64(r) * keys
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				for k := base; k < base+keys; k++ {
+					m.Set(k, id)
+				}
+			}(w)
+		}
+		wg.Wait()
+		if got, want := m.Len(), (r+1)*keys; got != want {
+			t.Fatalf("round %d: Len = %d, want %d", r, got, want)
+		}
+		seen := make(map[uint64]bool, (r+1)*keys)
+		m.Range(func(k uint64, _ int) bool {
+			if seen[k] {
+				t.Fatalf("round %d: key %d has two entries", r, k)
+			}
+			seen[k] = true
+			return true
+		})
+	}
+}

@@ -32,11 +32,10 @@ func BenchmarkWriteMapUpsert(b *testing.B) {
 // constant except the shard count (1 vs DefaultShards) on the two
 // workloads that matter — pure upserts and a 90/10 read/write mix —
 // benchstat-ready so the README's "shard-layer diet" note is a
-// measurement, not a guess. Adaptive maintenance is pinned off so
-// the comparison is shape-vs-shape.
+// measurement, not a guess.
 
 func benchmarkShardsUpsert(b *testing.B, shards int) {
-	m := NewUint64[int](WithShards(shards), WithInitialBuckets(8192), WithAdapt(nil))
+	m := NewUint64[int](WithShards(shards), WithInitialBuckets(8192))
 	defer m.Close()
 	const keySpace = 16384
 	var seq atomic.Uint64
@@ -53,7 +52,7 @@ func benchmarkShardsUpsert(b *testing.B, shards int) {
 }
 
 func benchmarkShardsMixed(b *testing.B, shards int) {
-	m := NewUint64[int](WithShards(shards), WithInitialBuckets(8192), WithAdapt(nil))
+	m := NewUint64[int](WithShards(shards), WithInitialBuckets(8192))
 	defer m.Close()
 	const keySpace = 16384
 	for k := uint64(0); k < keySpace; k++ {

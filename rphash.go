@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"time"
 
-	"rphash/internal/adapt"
 	"rphash/internal/cache"
 	"rphash/internal/core"
 	"rphash/internal/hashfn"
@@ -12,23 +11,6 @@ import (
 	"rphash/internal/rcu"
 	"rphash/internal/shard"
 )
-
-// AdaptConfig tunes adaptive maintenance: the sampling cadence,
-// contention-rate hysteresis thresholds for runtime stripe retuning,
-// and the unzip-migration fan-out bounds. See internal/adapt and
-// DefaultAdaptConfig.
-type AdaptConfig = adapt.Config
-
-// AdaptStats is a maintenance-controller observability snapshot
-// (samples taken, stripe grows/shrinks, fan-out retunes, last
-// sampled contention rate).
-type AdaptStats = adapt.Stats
-
-// DefaultAdaptConfig returns the production maintenance defaults:
-// 100ms sampling, grow stripes at sustained >=5% lock contention,
-// shrink at sustained <=0.5%, fan unzip migration out up to half the
-// cores.
-func DefaultAdaptConfig() *AdaptConfig { return adapt.DefaultConfig() }
 
 // Table is a resizable relativistic hash table. See the package
 // documentation for the concurrency contract.
@@ -125,19 +107,6 @@ func WithStripes(n int) Option { return core.WithStripes(n) }
 // CompareAndSwapValue are unaffected either way.
 func WithCASInsert(enabled bool) Option { return core.WithCASInsert(enabled) }
 
-// WithAdapt starts an adaptive maintenance controller on the table
-// at construction: sampled stripe-lock contention grows or shrinks
-// the writer-stripe array at runtime, and resize migration fans out
-// across workers sized from the live backlog. The core Table default
-// is off (nil = off); Map and Cache enable it by default. See
-// AdaptConfig and Table.Maintain.
-func WithAdapt(cfg *AdaptConfig) Option { return core.WithAdapt(cfg) }
-
-// WithUnzipWorkers pins the initial unzip-migration fan-out for a
-// table's expansions (default 1 = the sequential resizer; the adapt
-// controller retunes it at runtime when enabled).
-func WithUnzipWorkers(n int) Option { return core.WithUnzipWorkers(n) }
-
 // DefaultPolicy expands beyond 2 elements/bucket and shrinks below
 // 0.25, with a 64-bucket floor.
 func DefaultPolicy() Policy { return core.DefaultPolicy() }
@@ -192,9 +161,7 @@ func NewMapString[V any](opts ...MapOption) *Map[string, V] {
 func WithShards(n int) MapOption { return shard.WithShards(n) }
 
 // WithMapTableStripes sets each shard table's writer-stripe count
-// (see WithStripes). The Map's default adaptive maintenance may
-// retune the count at runtime; combine with WithMapAdapt(nil) to
-// freeze the shape for measurements.
+// (see WithStripes).
 func WithMapTableStripes(n int) MapOption { return shard.WithTableStripes(n) }
 
 // WithMapDomain shares an existing domain across a Map's shards (and
@@ -214,12 +181,6 @@ func WithMapEngine(name string) MapOption { return shard.WithEngine(name) }
 // shard (MinBuckets is interpreted map-wide and divided across
 // shards).
 func WithMapPolicy(p Policy) MapOption { return shard.WithPolicy(p) }
-
-// WithMapAdapt configures the Map's adaptive maintenance controllers
-// (one per shard table; on by default). WithMapAdapt(nil) pins
-// maintenance off — combine with WithMapTableStripes for
-// reproducible benchmark shapes.
-func WithMapAdapt(cfg *AdaptConfig) MapOption { return shard.WithAdapt(cfg) }
 
 // MapStats is a Map observability snapshot: the map-wide aggregate
 // (embedded Stats) plus every shard's own table snapshot, so bucket
@@ -297,17 +258,12 @@ func WithCachePolicy(p Policy) CacheOption { return cache.WithPolicy(p) }
 // SweepExpired calls, eviction sampling, and overwrites).
 func WithCacheSweepInterval(d time.Duration) CacheOption { return cache.WithSweepInterval(d) }
 
-// WithCacheAdapt configures the cache's underlying adaptive
-// maintenance controllers (on by default; nil pins them off). See
-// WithMapAdapt.
-func WithCacheAdapt(cfg *AdaptConfig) CacheOption { return cache.WithAdapt(cfg) }
-
 // Observer is the observability hub: lock-free latency histograms
 // for RCU grace-period waits, contended writer stripe-lock waits, and
 // cache loader latency, plus a fixed-size concurrent event ring
-// capturing resize/unzip lifecycle and stripe-retune decisions. One
-// Observer can span any number of tables, maps, and caches; pass it
-// via WithObserver/WithMapObserver/WithCacheObserver. A nil Observer
+// capturing the resize/unzip lifecycle. One Observer can span any
+// number of tables, maps, and caches; pass it via
+// WithObserver/WithMapObserver/WithCacheObserver. A nil Observer
 // disables all instrumentation at the cost of one pointer compare per
 // site.
 type Observer = obs.Observer
@@ -320,7 +276,7 @@ type ObserverSnapshot = obs.ObserverSnapshot
 type HistogramSnapshot = obs.HistogramSnapshot
 
 // Event is one captured lifecycle event (resize phase, grace wait,
-// stripe retune); its String method renders a human-readable line.
+// CAS undo, watchdog trip); its String method renders a human-readable line.
 type Event = obs.Event
 
 // Registry collects named metrics behind closures and renders them as
